@@ -8,8 +8,9 @@
  * scaling on top of it. Every point also records whether the best
  * EDP stayed bit-identical to the baseline (it must: the parallel
  * searches are deterministic at fixed topology and the delta engine
- * is an exact recomputation), the eval-cache hit rate, and the
- * delta-hit rate.
+ * is an exact recomputation) and the delta-hit rate. The engine is
+ * switched off for the baseline through ScopedEngines (engines.hpp),
+ * the test-only switch; it is not a search option.
  *
  * Writes BENCH_search_scaling.json next to the working directory.
  * `--full` (or RUBY_BENCH_FULL=1) enlarges the budgets and sets the
@@ -31,6 +32,7 @@
 
 #include "ruby/arch/presets.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/local_search.hpp"
@@ -71,7 +73,6 @@ struct RunPoint
     double speedup = 1.0; ///< baseline wall / this wall
     double bestEdp = 0.0;
     bool parity = true; ///< best EDP identical to the baseline run
-    double cacheHitRate = 0.0;
     double deltaHitRate = 0.0;
     std::uint64_t deltaHits = 0;
     std::uint64_t deltaFallbacks = 0;
@@ -118,17 +119,17 @@ sweepThreads(Fn &&run, bool incremental, int reps)
         p.incremental = inc;
         p.wallMs = 0.0;
         RunOutcome out;
+        Engines engines;
+        engines.incremental = inc;
+        const ScopedEngines scope(engines);
         for (int r = 0; r < reps; ++r) {
             const auto start = Clock::now();
-            out = run(t, inc);
+            out = run(t);
             const double ms = elapsedMs(start);
             if (r == 0 || ms < p.wallMs)
                 p.wallMs = ms;
         }
         p.bestEdp = out.bestEdp;
-        p.cacheHitRate = ratio(out.stats.cacheHits,
-                               out.stats.cacheHits +
-                                   out.stats.cacheMisses);
         p.deltaHitRate =
             ratio(out.stats.deltaHits, out.stats.deltaAttempts);
         p.deltaHits = out.stats.deltaHits;
@@ -170,7 +171,6 @@ emitSeries(std::ofstream &json, const char *name,
              << ", \"speedup\": " << p.speedup
              << ", \"best_edp\": " << p.bestEdp << ", \"parity\": "
              << (p.parity ? "true" : "false")
-             << ", \"cache_hit_rate\": " << p.cacheHitRate
              << ", \"delta_hit_rate\": " << p.deltaHitRate
              << ", \"delta_hits\": " << p.deltaHits
              << ", \"delta_fallbacks\": " << p.deltaFallbacks << "}"
@@ -206,7 +206,7 @@ main(int argc, char **argv)
               << " (Eyeriss RS, Ruby-S)\n  exhaustive:\n";
     const std::uint64_t ex_cap = full ? 200'000 : 20'000;
     const auto exhaustive = sweepThreads(
-        [&](unsigned t, bool) {
+        [&](unsigned t) {
             ExhaustiveOptions opts;
             opts.maxEvaluations = ex_cap;
             opts.threads = t;
@@ -218,13 +218,12 @@ main(int argc, char **argv)
 
     std::cout << "  genetic (8 islands):\n";
     const auto genetic = sweepThreads(
-        [&](unsigned t, bool incremental) {
+        [&](unsigned t) {
             GeneticOptions opts;
             opts.populationSize = 32;
             opts.generations = full ? 40 : 10;
             opts.islands = 8;
             opts.threads = t;
-            opts.incremental = incremental;
             const SearchResult res =
                 geneticSearch(space, eval, opts);
             return RunOutcome{res.bestResult.edp, res.stats};
@@ -233,12 +232,11 @@ main(int argc, char **argv)
 
     std::cout << "  local (8 starts):\n";
     const auto local = sweepThreads(
-        [&](unsigned t, bool incremental) {
+        [&](unsigned t) {
             LocalSearchOptions opts;
             opts.maxEvaluations = full ? 100'000 : 16'000;
             opts.starts = 8;
             opts.threads = t;
-            opts.incremental = incremental;
             const SearchResult res = localSearch(space, eval, opts);
             return RunOutcome{res.bestResult.edp, res.stats};
         },
@@ -248,13 +246,12 @@ main(int argc, char **argv)
     const std::vector<Layer> resnet = resnet50Layers();
     int memoized_layers = 0;
     const auto network = sweepThreads(
-        [&](unsigned t, bool incremental) {
+        [&](unsigned t) {
             SearchOptions opts;
             opts.maxEvaluations = full ? 20'000 : 2'000;
             opts.terminationStreak = 0;
             opts.threads = 1;
             opts.networkThreads = t;
-            opts.incremental = incremental;
             // Exercise the post-sampling refinement (and with it the
             // random-search delta path) on every layer.
             opts.refineSteps = full ? 2'000 : 200;

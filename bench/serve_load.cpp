@@ -12,17 +12,16 @@
  * i.e. the same total search-thread budget. Sustained QPS is measured
  * client-side over the whole replay; p50/p99 come from the daemons'
  * own wall-time histograms (the fleet side merges them through the
- * router's stats fan-in), and the cache hit rate is the single
- * daemon's evalCache rate vs the fleet's aggregated rate.
+ * router's stats fan-in), and the warmth comparison is the single
+ * daemon's layer-memo hit rate vs the fleet's aggregated rate.
  *
  * The sharding story this checks: the router's routing key is the
  * architecture + shape fingerprint, so every repeat of a hot shape
  * lands on the shard that is already warm for it. Splitting the trace
- * across three smaller caches must therefore not cost hit rate — and
- * once the single daemon's cache starts evicting, the fleet's focused
- * shards pull ahead. Results go to BENCH_serve_load.json and are
- * gated by tools/check_bench.py --serve-load (the QPS floor is
- * refused on single-core runners, like the thread-scaling floors).
+ * across three smaller memos must therefore not cost hit rate.
+ * Results go to BENCH_serve_load.json and are gated by
+ * tools/check_bench.py --serve-load (the QPS floor is refused on
+ * single-core runners, like the thread-scaling floors).
  */
 
 #include <algorithm>
@@ -167,9 +166,6 @@ struct RunResult
     double qps = 0.0;
     double p50Ms = 0.0;
     double p99Ms = 0.0;
-    double hitRate = 0.0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
     double memoHitRate = 0.0;
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
@@ -268,7 +264,7 @@ replay(const std::vector<Request> &trace, const std::string &host,
     out.allOk = failures.load() == 0;
 }
 
-/** Read latency quantiles + cache counters out of a stats object
+/** Read latency quantiles + layer-memo counters out of a stats object
  *  (the single daemon's statsJson or the router's "fleet" block). */
 void
 readStats(const JsonValue &stats, RunResult &out)
@@ -277,10 +273,6 @@ readStats(const JsonValue &stats, RunResult &out)
         LatencyHistogram::fromJson(stats.at("latency"));
     out.p50Ms = latency.quantileMs(0.50);
     out.p99Ms = latency.quantileMs(0.99);
-    const JsonValue &cache = stats.at("evalCache");
-    out.cacheHits = cache.at("hits").asU64();
-    out.cacheMisses = cache.at("misses").asU64();
-    out.hitRate = cache.at("hitRate").asDouble();
     // Repeated net requests are answered by the layer memo before
     // any evaluation runs, so for this trace the memo hit rate is
     // the daemon's cross-request cache effectiveness.
@@ -395,9 +387,6 @@ emitRun(std::ofstream &json, const char *key, const RunResult &run)
          << "    \"seconds\": " << run.seconds << ",\n"
          << "    \"p50_ms\": " << run.p50Ms << ",\n"
          << "    \"p99_ms\": " << run.p99Ms << ",\n"
-         << "    \"eval_cache_hit_rate\": " << run.hitRate << ",\n"
-         << "    \"eval_cache_hits\": " << run.cacheHits << ",\n"
-         << "    \"eval_cache_misses\": " << run.cacheMisses << ",\n"
          << "    \"layer_memo_hit_rate\": " << run.memoHitRate
          << ",\n"
          << "    \"layer_memo_hits\": " << run.memoHits << ",\n"

@@ -84,13 +84,11 @@ printNetworkSummary(std::ostream &os, const NetworkOutcome &net)
             status = failureKindName(layer.failure);
         // "evals" counts mappings drawn; "modeled" counts full
         // cost-model runs — the gap is what the fast path skipped
-        // (invalid, bound-pruned, or served from the memo cache).
+        // (invalid or bound-pruned).
         table.addRow({layer.name, layer.group,
                       std::to_string(layer.count), status,
-                      formatCompact(
-                          static_cast<double>(layer.evaluated)),
-                      formatCompact(
-                          static_cast<double>(layer.stats.modeled)),
+                      std::to_string(layer.evaluated),
+                      std::to_string(layer.stats.modeled),
                       layer.found ? formatCompact(layer.result.edp)
                                   : "-",
                       layer.diagnostic});
@@ -101,45 +99,24 @@ printNetworkSummary(std::ostream &os, const NetworkOutcome &net)
         net.layers.size() - static_cast<std::size_t>(net.failedLayers);
     os << "mapped " << mapped << "/" << net.layers.size()
        << " unique layers\n"
-       << "fast path      : "
-       << formatCompact(static_cast<double>(net.stats.invalid))
-       << " invalid, "
-       << formatCompact(static_cast<double>(net.stats.prunedBound))
-       << " bound-pruned, "
-       << formatCompact(static_cast<double>(net.stats.cacheHits))
-       << " cache hits ("
-       << formatCompact(static_cast<double>(net.stats.cacheEvictions))
-       << " evictions), "
-       << formatCompact(static_cast<double>(net.stats.modeled))
-       << " fully modeled\n";
+       << "fast path      : " << net.stats.invalid << " invalid, "
+       << net.stats.prunedBound << " bound-pruned, "
+       << net.stats.modeled << " fully modeled\n";
     // Only printed when an incremental engine actually served
     // candidates: the counters are deterministic per (seed, threads),
     // and searches that never attempt a delta keep the report
     // byte-identical to pre-engine builds.
     if (net.stats.deltaAttempts > 0)
-        os << "delta eval     : "
-           << formatCompact(
-                  static_cast<double>(net.stats.deltaHits))
-           << " incremental, "
-           << formatCompact(
-                  static_cast<double>(net.stats.deltaFallbacks))
-           << " fallbacks ("
-           << formatCompact(
-                  static_cast<double>(net.stats.deltaRebases))
+        os << "delta eval     : " << net.stats.deltaHits
+           << " incremental, " << net.stats.deltaFallbacks
+           << " fallbacks (" << net.stats.deltaRebases
            << " rebases)\n";
     // Same discipline for the batch engine: batch-free runs stay
     // byte-identical to pre-engine builds.
     if (net.stats.batchCalls > 0)
-        os << "batch eval     : "
-           << formatCompact(
-                  static_cast<double>(net.stats.batchedEvals))
-           << " batched over "
-           << formatCompact(
-                  static_cast<double>(net.stats.batchCalls))
-           << " batches ("
-           << formatCompact(
-                  static_cast<double>(net.stats.batchRejects))
-           << " rejects)\n";
+        os << "batch eval     : " << net.stats.batchedEvals
+           << " batched over " << net.stats.batchCalls
+           << " batches (" << net.stats.batchRejects << " rejects)\n";
     // Optimality accounting, printed only when some layer ran a
     // bound-tracking strategy — sampling-only sweeps stay
     // byte-identical to earlier builds.

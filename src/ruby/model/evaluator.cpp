@@ -148,7 +148,7 @@ Evaluator::objectiveLowerBound(const std::vector<double> &stepsFloor,
 
 StagedEval
 Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
-                          double bestSoFar, bool boundPruning,
+                          double bestSoFar, bool withBound,
                           EvalScratch &scratch) const
 {
     if (!checkValidity(mapping, scratch, false))
@@ -156,7 +156,7 @@ Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
     // Prune only when the bound says the mapping cannot be *strictly*
     // better than the incumbent: improving requires metric < best and
     // metric >= bound, so bound >= best is conclusive.
-    if (boundPruning &&
+    if (withBound &&
         objectiveLowerBound(mapping, obj) >= bestSoFar)
         return StagedEval::PrunedBound;
     runFullModel(mapping, scratch);
@@ -166,7 +166,7 @@ Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
 StagedEval
 Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
                           SharedIncumbent &incumbent,
-                          bool boundPruning,
+                          bool withBound,
                           EvalScratch &scratch) const
 {
     if (!checkValidity(mapping, scratch, false))
@@ -175,7 +175,7 @@ Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
     // mapping therefore has metric >= bound > final minimum, so the
     // lowest-index mapping attaining the minimum is always modeled —
     // regardless of which shard lowered the incumbent, or when.
-    if (boundPruning &&
+    if (withBound &&
         objectiveLowerBound(mapping, obj) > incumbent.load())
         return StagedEval::PrunedBound;
     runFullModel(mapping, scratch);

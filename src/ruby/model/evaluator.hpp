@@ -113,9 +113,8 @@ struct EvalStats
     std::uint64_t invalid = 0;        ///< rejected by validity stage
     std::uint64_t prunedBound = 0;    ///< skipped by the lower bound
     std::uint64_t modeled = 0;        ///< full cost-model runs
-    std::uint64_t cacheHits = 0;      ///< memo-cache hits
-    std::uint64_t cacheMisses = 0;    ///< memo-cache misses
-    std::uint64_t cacheEvictions = 0; ///< memo-cache evictions
+    /// Always zero: kept only for perfbench/layers.cpp, which reads them.
+    std::uint64_t cacheHits = 0, cacheMisses = 0;
 
     /*
      * Incremental-evaluation counters (orthogonal to the decided()
@@ -151,7 +150,7 @@ struct EvalStats
      */
     std::uint64_t decided() const
     {
-        return invalid + prunedBound + modeled + cacheHits;
+        return invalid + prunedBound + modeled;
     }
 
     EvalStats &operator+=(const EvalStats &o)
@@ -159,9 +158,6 @@ struct EvalStats
         invalid += o.invalid;
         prunedBound += o.prunedBound;
         modeled += o.modeled;
-        cacheHits += o.cacheHits;
-        cacheMisses += o.cacheMisses;
-        cacheEvictions += o.cacheEvictions;
         deltaAttempts += o.deltaAttempts;
         deltaHits += o.deltaHits;
         deltaFallbacks += o.deltaFallbacks;
@@ -258,7 +254,7 @@ class Evaluator
      * the same best mapping with pruning on or off.
      */
     StagedEval evaluateStaged(const Mapping &mapping, Objective obj,
-                              double bestSoFar, bool boundPruning,
+                              double bestSoFar, bool withBound,
                               EvalScratch &scratch) const;
 
     /**
@@ -276,14 +272,14 @@ class Evaluator
      */
     StagedEval evaluateStaged(const Mapping &mapping, Objective obj,
                               SharedIncumbent &incumbent,
-                              bool boundPruning,
+                              bool withBound,
                               EvalScratch &scratch) const;
 
     /**
      * Stage 3 alone: run the full model on a mapping that already
      * passed checkValidity() with the SAME scratch (the model reads
      * scratch.tiles). Lets callers interleave their own work — e.g.
-     * a memo-cache lookup — between the stages.
+     * the bound prune — between the stages.
      */
     void modelValidated(const Mapping &mapping,
                         EvalScratch &scratch) const;

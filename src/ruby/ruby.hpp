@@ -33,12 +33,12 @@
 #include "ruby/mapspace/padding.hpp"
 #include "ruby/mapspace/stats.hpp"
 #include "ruby/model/batch_eval.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/model/evaluator.hpp"
 #include "ruby/model/latency.hpp"
 #include "ruby/model/reference_sim.hpp"
 #include "ruby/model/tile_analysis.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/genome.hpp"

@@ -65,7 +65,7 @@ struct LayerOutcome
     EvalResult result; ///< best mapping's evaluation
     std::uint64_t evaluated = 0;
     /** Fast-path stage counters: how the drawn mappings were decided
-     *  (invalid / bound-pruned / fully modeled / cache hits). */
+     *  (invalid / bound-pruned / fully modeled). */
     EvalStats stats;
     std::string bestMapping; ///< rendered best mapping
 
@@ -104,9 +104,9 @@ struct LayerOutcome
 
     /**
      * Non-empty when the per-stage counters violated the partition
-     * identity invalid + prunedBound + cacheHits + modeled ==
-     * evaluated. Checked in every build (not just asserts); reports
-     * surface the note as a one-line diagnostic.
+     * identity invalid + prunedBound + modeled == evaluated. Checked
+     * in every build (not just asserts); reports surface the note as
+     * a one-line diagnostic.
      */
     std::string statsNote;
 };
@@ -174,10 +174,10 @@ struct NetworkOutcome
  * Search one problem with the strategy selected by options.strategy
  * (random sampling by default; exhaustive, genetic and local search
  * all honour options.objective, seed, threads and — where meaningful —
- * maxEvaluations and boundPruning). When @p pad is true the problem is
- * first padded for the architecture's widest fanout level (the
- * PFM+padding baseline); the searched mapspace is then @p variant on
- * the padded problem.
+ * maxEvaluations). When @p pad is true the problem is first padded
+ * for the architecture's widest fanout level (the PFM+padding
+ * baseline); the searched mapspace is then @p variant on the padded
+ * problem.
  *
  * Never throws for recoverable conditions: bad inputs, exhausted
  * budgets and worker exceptions (including injected faults) come back

@@ -14,6 +14,7 @@
 #include "ruby/mapspace/factor_space.hpp"
 #include "ruby/mapspace/index_space.hpp"
 #include "ruby/model/batch_eval.hpp"
+#include "ruby/search/engines.hpp"
 
 namespace ruby
 {
@@ -29,6 +30,8 @@ struct EnumContext
 {
     const Mapspace &space;
     const ExhaustiveOptions &opts;
+    /** The objective lower-bound prune is on (see engines.hpp). */
+    bool prune;
     /** Canonical chains per dimension. */
     std::vector<std::vector<std::vector<std::uint64_t>>> chains;
     /** Shared permutation set (identity, or all permutations). */
@@ -106,7 +109,7 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
                 faults.maybeThrow("exhaustive_search.evaluate");
             const StagedEval staged = evaluator.evaluateStaged(
                 mapping, ctx.opts.objective, incumbent,
-                ctx.opts.boundPruning, scratch);
+                ctx.prune, scratch);
             switch (staged) {
               case StagedEval::Invalid:
                 ++best.stats.invalid;
@@ -192,7 +195,7 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                 batch.add(steady, ctx.keep, no_axes);
             }
             batch.run(ctx.opts.objective, best.stats,
-                      ctx.opts.boundPruning);
+                      ctx.prune);
             for (std::size_t j = 0; j < want; ++j) {
                 if ((cancel != nullptr && cancel->cancelled()) ||
                     (ctx.opts.cancel != nullptr &&
@@ -208,7 +211,7 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                 }
                 // Same strict predicate as the staged incumbent
                 // overload: bound == incumbent is NOT pruned.
-                if (ctx.opts.boundPruning &&
+                if (ctx.prune &&
                     batch.bound(j) > incumbent.load()) {
                     ++best.stats.prunedBound;
                     ++best.valid;
@@ -268,7 +271,7 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
                "exhaustive search: threads (", threads,
                ") exceeds the cap of ", kMaxParallelism);
 
-    EnumContext ctx{space, options, {}, {}, {}};
+    EnumContext ctx{space, options, engines().boundPruning, {}, {}, {}};
 
     // Enumerate each dimension's canonical chains once.
     ctx.chains.resize(static_cast<std::size_t>(nd));
@@ -330,7 +333,7 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
     // Configurations whose keep/axis tables overflow the batch
     // engine's mask lanes enumerate on the scalar path.
     const bool batched =
-        options.batchEval &&
+        engines().batchEval &&
         BatchEvaluator::supports(evaluator.problem(),
                                  evaluator.arch());
 

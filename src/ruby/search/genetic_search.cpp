@@ -12,6 +12,7 @@
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/genome.hpp"
 
 namespace ruby
@@ -281,12 +282,13 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     // tallies are merged in island index order after each generation,
     // so the counters are a pure function of (seed, islands) — never
     // of which worker scored which island.
-    std::vector<DeltaEvaluator> engines;
+    const bool incremental = engines().incremental;
+    std::vector<DeltaEvaluator> delta_engines;
     std::vector<Tally> island_tallies;
-    if (options.incremental) {
-        engines.reserve(K);
+    if (incremental) {
+        delta_engines.reserve(K);
         for (unsigned k = 0; k < K; ++k)
-            engines.emplace_back(evaluator);
+            delta_engines.emplace_back(evaluator);
         island_tallies.resize(K);
     }
 
@@ -300,7 +302,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     // across generations). Configurations whose keep/axis tables
     // overflow the engine's mask lanes score on the scalar path.
     const bool batched =
-        options.batchEval &&
+        engines().batchEval &&
         BatchEvaluator::supports(evaluator.problem(),
                                  evaluator.arch());
     std::vector<BatchEvaluator> batch_engines;
@@ -390,7 +392,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     // reuse lives across a whole island's children); the classic mode
     // keeps the per-individual job batch.
     auto scoreGeneration = [&]() {
-        if (!options.incremental) {
+        if (!incremental) {
             jobs.clear();
             for (unsigned k = 0; k < K; ++k)
                 for (std::size_t m = options.elites;
@@ -404,7 +406,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
                 if (externallyCancelled())
                     break;
                 scoreIsland(space, options.objective, options.elites,
-                            archipelago[k], engines[k],
+                            archipelago[k], delta_engines[k],
                             island_tallies[k], options.cancel,
                             nullptr);
             }
@@ -423,7 +425,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
                             return;
                         scoreIsland(space, options.objective,
                                     options.elites, archipelago[k],
-                                    engines[k], island_tallies[k],
+                                    delta_engines[k], island_tallies[k],
                                     options.cancel, &cancel);
                     }
                 });

@@ -74,26 +74,6 @@ struct GeneticOptions
     unsigned threads = 1;
 
     /**
-     * Score each generation through a per-island incremental (delta)
-     * evaluation engine rebased on the island's lead member:
-     * mutation-only children of that member are served as single-row
-     * deltas, everything else by a full in-place recomputation inside
-     * the engine. Fitness values are bit-identical with the flag on
-     * or off; disable only to measure the engine's effect.
-     */
-    bool incremental = true;
-
-    /**
-     * Serve bulk scoring (the initial population always; generations
-     * whenever the incremental engine is off) through the batched SoA
-     * engine: genome rows are ingested directly and a Mapping is
-     * materialized only for members that survive the batch validity
-     * stages. Fitness values are bit-identical with the flag on or
-     * off; disable only to measure the engine's effect.
-     */
-    bool batchEval = true;
-
-    /**
      * External cooperative cancellation (e.g. a serving drain):
      * polled per scored individual and between generations; the
      * best-so-far across completed scoring is still returned. Not

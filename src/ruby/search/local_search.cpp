@@ -10,6 +10,7 @@
 #include "ruby/common/fault_injector.hpp"
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/delta_eval.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/genome.hpp"
 
 namespace ruby
@@ -48,7 +49,7 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
     EvalScratch scratch;
     FaultInjector &faults = FaultInjector::global();
     std::optional<DeltaEvaluator> engine;
-    if (options.incremental)
+    if (engines().incremental)
         engine.emplace(evaluator);
 
     double global_best = kInf;

@@ -45,14 +45,6 @@ struct LocalSearchOptions
     unsigned threads = 1;
 
     /**
-     * Serve neighbour evaluations through the incremental (delta)
-     * evaluation engine: each climb keeps its current mapping as the
-     * engine base and evaluates neighbours as single-row deltas.
-     * Bit-identical results with the flag on or off.
-     */
-    bool incremental = true;
-
-    /**
      * External cooperative cancellation (e.g. a serving drain):
      * polled per evaluation; climbs wind down and the best-so-far
      * across completed work is returned. Not owned.

@@ -18,6 +18,7 @@
 #include "ruby/mapspace/factor_space.hpp"
 #include "ruby/mapspace/index_space.hpp"
 #include "ruby/model/batch_eval.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/model/latency.hpp"
 #include "ruby/model/tile_analysis.hpp"
 
@@ -67,12 +68,14 @@ struct NodeWorse
 struct BnbContext
 {
     BnbContext(const Mapspace &s, const OptimalOptions &o)
-        : space(s), opts(o)
+        : space(s), opts(o), prune(engines().boundPruning)
     {
     }
 
     const Mapspace &space;
     const OptimalOptions &opts;
+    /** The objective lower-bound prune is on (see engines.hpp). */
+    bool prune;
     /** Canonical chains per dimension. */
     std::vector<std::vector<std::vector<std::uint64_t>>> chains;
     /** Shared permutation set (identity, or all permutations). */
@@ -252,7 +255,7 @@ class BnbWorker
         // Same strict predicate as the leaf-level incumbent prune:
         // a bound equal to the incumbent is NOT pruned here either,
         // so the (metric, index) winner matches serial exhaustive.
-        if (ctx_.opts.boundPruning &&
+        if (ctx_.prune &&
             node.bound > incumbent_.load()) {
             best_.stats.prunedBound += node.end - node.begin;
             return;
@@ -370,7 +373,7 @@ class BnbWorker
                 floor_, ctx_.opts.objective);
             const std::uint64_t begin =
                 node.begin + static_cast<std::uint64_t>(c) * stride;
-            if (ctx_.opts.boundPruning &&
+            if (ctx_.prune &&
                 bound > incumbent_.load()) {
                 best_.stats.prunedBound += stride;
                 continue;
@@ -576,7 +579,7 @@ class BnbWorker
         if (lane_index_.empty())
             return;
         batch.run(ctx_.opts.objective, best_.stats,
-                  ctx_.opts.boundPruning);
+                  ctx_.prune);
         for (std::size_t j = 0; j < lane_index_.size(); ++j) {
             if (faults.enabled())
                 faults.maybeThrow("optimal_search.evaluate");
@@ -588,7 +591,7 @@ class BnbWorker
             }
             // Strict, like the staged incumbent overload: a bound
             // equal to the incumbent is NOT pruned.
-            if (ctx_.opts.boundPruning &&
+            if (ctx_.prune &&
                 batch.bound(j) > incumbent_.load()) {
                 ++best_.stats.prunedBound;
                 ++best_.valid;
@@ -646,7 +649,7 @@ class BnbWorker
                 faults.maybeThrow("optimal_search.evaluate");
             const StagedEval staged = evaluator_.evaluateStaged(
                 mapping, ctx_.opts.objective, incumbent_,
-                ctx_.opts.boundPruning, scratch_);
+                ctx_.prune, scratch_);
             switch (staged) {
               case StagedEval::Invalid:
                 ++best_.stats.invalid;
@@ -1023,7 +1026,7 @@ optimalSearch(const Mapspace &space, const Evaluator &evaluator,
     std::vector<ShardBest> shard_bests(workers);
 
     const bool batched =
-        options.batchEval &&
+        engines().batchEval &&
         BatchEvaluator::supports(evaluator.problem(),
                                  evaluator.arch());
 

@@ -62,14 +62,6 @@ struct OptimalOptions
     std::chrono::milliseconds timeBudget{0};
 
     /**
-     * Prune subtrees (and individual leaves) whose objective lower
-     * bound cannot *strictly* beat the incumbent. Never changes the
-     * best mapping found; with it off the search degrades to a
-     * best-first full enumeration that still certifies.
-     */
-    bool boundPruning = true;
-
-    /**
      * Skip permutation-symmetric duplicate leaves (see
      * `permutations`). Sound: a skipped leaf evaluates bit-identically
      * to its kept lower-index representative, so neither the best
@@ -77,9 +69,6 @@ struct OptimalOptions
      * permutations are off (the identity order has no duplicates).
      */
     bool symmetryPruning = true;
-
-    /** Score leaf frontiers through the K-wide batched SoA engine. */
-    bool batchEval = true;
 
     /**
      * Worker threads expanding the tree (0 = one per hardware

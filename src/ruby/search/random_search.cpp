@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/genome.hpp"
 
 namespace ruby
@@ -66,132 +68,113 @@ resolveOptions(const SearchOptions &options)
     RUBY_CHECK(opts.restarts <= kMaxParallelism,
                "search options: restarts (", opts.restarts,
                ") exceeds the cap of ", kMaxParallelism);
-    RUBY_CHECK(opts.evalCacheCapacity >= 1,
-               "search options: evalCacheCapacity must be >= 1");
     return opts;
 }
 
 /** What one drawn sample turned out to be. */
 struct SampleOutcome
 {
-    bool valid = false;   ///< passed validity (possibly via the cache)
+    bool valid = false;   ///< passed validity
     bool modeled = false; ///< scratch.result holds full-model output
-    double metric = kInf; ///< objective when known (modeled or cached)
+    double metric = kInf; ///< objective when modeled
 };
 
 /**
- * The per-sample fast path, cheapest check first:
- *
- *   validity -> objective lower bound -> memo cache -> full model.
- *
- * Validity runs before any hashing because most random samples are
- * invalid and rejecting one is cheaper than fingerprinting it; the
- * bound runs before the cache for the same reason. Only fully modeled
- * outcomes are cached — PrunedBound depends on the incumbent, not
- * just the mapping, and invalidity is cheaper to recompute than to
- * look up.
- *
- * A cache hit short-circuits only when it cannot change the best
- * mapping (objective >= bestSoFar). A hit claiming an improvement is
- * fully re-modeled, so neither a cross-restart hit nor a 128-bit
- * fingerprint collision can ever corrupt the result.
+ * One chunk of up to kDefaultEvalBatch drawn samples, decided one
+ * candidate at a time by consume(). Drawing ahead never changes the
+ * RNG stream a loop consumes: evaluation never touches the RNG, and
+ * draws abandoned at a stop point are discarded uncounted. Every stop
+ * check runs per consumed candidate, so stop points, counters and
+ * trajectories match a one-draw-at-a-time loop exactly.
  */
-SampleOutcome
-evalSample(const Mapping &mapping, const Evaluator &evaluator,
-           const SearchOptions &opts, EvalCache *cache,
-           const FingerprintPair &salt, double bestSoFar,
-           EvalScratch &scratch, EvalStats &stats)
+class Chunk
 {
-    SampleOutcome out;
-    if (!evaluator.checkValidity(mapping, scratch, false)) {
-        ++stats.invalid;
-        return out;
+  public:
+    Chunk(const Evaluator &evaluator, Objective objective,
+          const Engines &use)
+        : evaluator_(evaluator), objective_(objective),
+          prune_(use.boundPruning)
+    {
+        drawn_.reserve(kDefaultEvalBatch);
+        // Rare configurations whose keep/axis tables overflow the
+        // batch engine's mask lanes are decided scalar.
+        if (use.batchEval &&
+            BatchEvaluator::supports(evaluator.problem(),
+                                     evaluator.arch()))
+            batch_.emplace(evaluator);
     }
-    out.valid = true;
-    // Provably non-improving: the metric stays kInf, which is fine
-    // because the caller only compares it for strict improvement.
-    if (opts.boundPruning &&
-        evaluator.objectiveLowerBound(mapping, opts.objective) >=
-            bestSoFar) {
-        ++stats.prunedBound;
-        return out;
-    }
-    FingerprintPair fp;
-    if (cache != nullptr) {
-        fp = mappingFingerprintPair(mapping);
-        // The context salt scopes entries to this (problem, arch,
-        // objective): required when the cache outlives the search
-        // (ruby-served), free when it doesn't — applying it always
-        // keeps private and shared runs bit-identical.
-        fp.key ^= salt.key;
-        fp.verify ^= salt.verify;
-        CachedEval cached;
-        if (cache->lookup(fp.key, fp.verify, cached) && cached.valid &&
-            cached.objective >= bestSoFar) {
-            ++stats.cacheHits;
-            out.metric = cached.objective;
-            return out;
-        }
-        ++stats.cacheMisses;
-    }
-    evaluator.modelValidated(mapping, scratch);
-    ++stats.modeled;
-    out.modeled = true;
-    out.metric = scratch.result.objective(opts.objective);
-    if (cache != nullptr)
-        cache->insert(fp.key, fp.verify, CachedEval{out.metric, true});
-    return out;
-}
 
-/**
- * The batched twin of evalSample(): validity and bound were computed
- * batch-wide by BatchEvaluator::run(); everything from the prune on —
- * the cache protocol, the full model, the counter bumps — replays the
- * scalar sequence exactly, against the same live @p bestSoFar, so the
- * two paths are bit-identical per candidate.
- */
-SampleOutcome
-consumeBatched(const BatchEvaluator &batch, std::size_t j,
-               const Mapping &mapping, const Evaluator &evaluator,
-               const SearchOptions &opts, EvalCache *cache,
-               const FingerprintPair &salt, double bestSoFar,
-               EvalScratch &scratch, EvalStats &stats)
-{
-    SampleOutcome out;
-    ++stats.batchedEvals;
-    if (!batch.valid(j)) {
-        ++stats.invalid;
-        ++stats.batchRejects;
-        return out;
+    /**
+     * Draw @p want (<= kDefaultEvalBatch) samples. With the batch
+     * engine their validity and bound are computed chunk-wide here.
+     */
+    void draw(const Mapspace &space, Rng &rng, std::size_t want,
+              EvalStats &stats)
+    {
+        drawn_.clear();
+        if (batch_)
+            batch_->begin(want);
+        for (std::size_t j = 0; j < want; ++j) {
+            drawn_.push_back(space.sample(rng));
+            if (batch_)
+                batch_->add(drawn_.back());
+        }
+        if (batch_)
+            batch_->run(objective_, stats, prune_);
     }
-    out.valid = true;
-    if (opts.boundPruning && batch.bound(j) >= bestSoFar) {
-        ++stats.prunedBound;
-        return out;
-    }
-    FingerprintPair fp;
-    if (cache != nullptr) {
-        fp = mappingFingerprintPair(mapping);
-        fp.key ^= salt.key;
-        fp.verify ^= salt.verify;
-        CachedEval cached;
-        if (cache->lookup(fp.key, fp.verify, cached) && cached.valid &&
-            cached.objective >= bestSoFar) {
-            ++stats.cacheHits;
-            out.metric = cached.objective;
+
+    const Mapping &mapping(std::size_t j) const { return drawn_[j]; }
+
+    /**
+     * Decide candidate @p j, cheapest check first: validity, then the
+     * objective lower bound against the live @p bestSoFar, then the
+     * full model. The batch engine's validity and bound are
+     * bit-identical to the scalar checks, so both paths decide every
+     * candidate the same way.
+     */
+    SampleOutcome consume(std::size_t j, double bestSoFar,
+                          EvalScratch &scratch, EvalStats &stats) const
+    {
+        SampleOutcome out;
+        const Mapping &mapping = drawn_[j];
+        if (batch_) {
+            ++stats.batchedEvals;
+            if (!batch_->valid(j)) {
+                ++stats.invalid;
+                ++stats.batchRejects;
+                return out;
+            }
+        } else if (!evaluator_.checkValidity(mapping, scratch, false)) {
+            ++stats.invalid;
             return out;
         }
-        ++stats.cacheMisses;
+        out.valid = true;
+        // Provably non-improving: the metric stays kInf, which is
+        // fine because callers only compare it for strict improvement.
+        if (prune_ &&
+            (batch_ ? batch_->bound(j)
+                    : evaluator_.objectiveLowerBound(mapping,
+                                                     objective_)) >=
+                bestSoFar) {
+            ++stats.prunedBound;
+            return out;
+        }
+        if (batch_)
+            batch_->prepareScratch(j, scratch);
+        evaluator_.modelValidated(mapping, scratch);
+        ++stats.modeled;
+        out.modeled = true;
+        out.metric = scratch.result.objective(objective_);
+        return out;
     }
-    batch.prepareScratch(j, scratch);
-    evaluator.modelValidated(mapping, scratch);
-    ++stats.modeled;
-    out.modeled = true;
-    out.metric = scratch.result.objective(opts.objective);
-    if (cache != nullptr)
-        cache->insert(fp.key, fp.verify, CachedEval{out.metric, true});
-    return out;
-}
+
+  private:
+    const Evaluator &evaluator_;
+    Objective objective_;
+    bool prune_;
+    std::vector<Mapping> drawn_;
+    std::optional<BatchEvaluator> batch_;
+};
 
 /** Shared best-so-far state for the multithreaded path. */
 struct SharedState
@@ -212,92 +195,20 @@ struct SharedState
     std::atomic<bool> deadlineHit{false};
 };
 
+/**
+ * One worker of the multithreaded path: draws chunks from its own
+ * stream and checks the shared stop flag, cancellation, the deadline
+ * stride and the maxEvaluations bound per consumed candidate.
+ */
 void
 shardLoop(const Mapspace &space, const Evaluator &evaluator,
-          const SearchOptions &opts, EvalCache *cache,
-          const FingerprintPair &salt, Rng rng, SharedState &state,
+          const SearchOptions &opts, Rng rng, SharedState &state,
           const CancelToken &cancel, const Deadline &deadline)
 {
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
     EvalStats stats;
-    std::uint64_t local = 0;
-    while (!state.stop.load(std::memory_order_relaxed)) {
-        if (cancel.cancelled())
-            break;
-        if ((local++ % kDeadlineStride) == 0 &&
-            (deadline.expired() ||
-             (opts.cancel != nullptr && opts.cancel->cancelled()))) {
-            state.deadlineHit.store(true, std::memory_order_relaxed);
-            state.stop.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (opts.maxEvaluations != 0 &&
-            state.evaluated.load(std::memory_order_relaxed) >=
-                opts.maxEvaluations) {
-            state.stop.store(true, std::memory_order_relaxed);
-            break;
-        }
-        const Mapping mapping = space.sample(rng);
-        if (faults.enabled())
-            faults.maybeThrow("random_search.evaluate");
-        const double bestSoFar =
-            state.bestSnapshot.load(std::memory_order_relaxed);
-        const SampleOutcome sample =
-            evalSample(mapping, evaluator, opts, cache, salt,
-                       bestSoFar, scratch, stats);
-        state.evaluated.fetch_add(1, std::memory_order_relaxed);
-        if (!sample.valid)
-            continue;
-        state.valid.fetch_add(1, std::memory_order_relaxed);
-
-        bool improved = false;
-        if (sample.modeled) {
-            std::lock_guard lock(state.mutex);
-            if (sample.metric < state.bestObjective) {
-                state.bestObjective = sample.metric;
-                state.bestSnapshot.store(sample.metric,
-                                         std::memory_order_relaxed);
-                state.best = mapping;
-                state.bestResult = scratch.result;
-                improved = true;
-            }
-        }
-        if (improved) {
-            state.streak.store(0, std::memory_order_relaxed);
-        } else if (opts.terminationStreak != 0) {
-            const auto streak =
-                state.streak.fetch_add(1, std::memory_order_relaxed) +
-                1;
-            if (streak >= opts.terminationStreak)
-                state.stop.store(true, std::memory_order_relaxed);
-        }
-    }
-    std::lock_guard lock(state.mutex);
-    state.stats += stats;
-}
-
-/**
- * shardLoop() with the K-wide batch front end. Samples are pre-drawn
- * (evaluation never touches the RNG, so the stream is unchanged; draws
- * abandoned at a stop point are simply discarded) and every per-
- * candidate check — stop flag, cancellation, deadline stride, the
- * maxEvaluations bound — runs at consumption, in the scalar order, so
- * the stop points and counter totals match the scalar shard exactly.
- */
-void
-shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
-                 const SearchOptions &opts, EvalCache *cache,
-                 const FingerprintPair &salt, Rng rng,
-                 SharedState &state, const CancelToken &cancel,
-                 const Deadline &deadline)
-{
-    FaultInjector &faults = FaultInjector::global();
-    EvalScratch scratch;
-    EvalStats stats;
-    BatchEvaluator batch(evaluator);
-    std::vector<Mapping> drawn;
-    drawn.reserve(kDefaultEvalBatch);
+    Chunk chunk(evaluator, opts.objective, engines());
     std::uint64_t local = 0;
     bool done = false;
     while (!done) {
@@ -311,13 +222,7 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                 std::min<std::uint64_t>(want,
                                         opts.maxEvaluations - seen));
         }
-        drawn.clear();
-        batch.begin(want);
-        for (std::size_t j = 0; j < want; ++j) {
-            drawn.push_back(space.sample(rng));
-            batch.add(drawn.back());
-        }
-        batch.run(opts.objective, stats, opts.boundPruning);
+        chunk.draw(space, rng, want, stats);
         for (std::size_t j = 0; j < want; ++j) {
             if (state.stop.load(std::memory_order_relaxed) ||
                 cancel.cancelled()) {
@@ -343,11 +248,9 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
             }
             if (faults.enabled())
                 faults.maybeThrow("random_search.evaluate");
-            const double bestSoFar =
-                state.bestSnapshot.load(std::memory_order_relaxed);
-            const SampleOutcome sample =
-                consumeBatched(batch, j, drawn[j], evaluator, opts,
-                               cache, salt, bestSoFar, scratch, stats);
+            const SampleOutcome sample = chunk.consume(
+                j, state.bestSnapshot.load(std::memory_order_relaxed),
+                scratch, stats);
             state.evaluated.fetch_add(1, std::memory_order_relaxed);
             if (!sample.valid)
                 continue;
@@ -360,7 +263,7 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                     state.bestObjective = sample.metric;
                     state.bestSnapshot.store(
                         sample.metric, std::memory_order_relaxed);
-                    state.best = drawn[j];
+                    state.best = chunk.mapping(j);
                     state.bestResult = scratch.result;
                     improved = true;
                 }
@@ -383,31 +286,17 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
 
 SearchResult
 runOne(const Mapspace &space, const Evaluator &evaluator,
-       const SearchOptions &options, EvalCache *cache,
-       const FingerprintPair &salt, const Deadline &deadline)
+       const SearchOptions &options, const Deadline &deadline)
 {
     SearchResult out;
 
-    // Rare configurations whose keep/axis tables overflow the batch
-    // engine's mask lanes simply take the scalar path.
-    const bool batched =
-        options.batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
-
-    if ((options.recordTrajectory || options.threads <= 1) &&
-        batched) {
-        // The K-wide serial loop. Checks run per consumed candidate at
-        // the same global index i as the scalar loop below, the
-        // incumbent is live across the batch, and abandoned draws are
-        // discarded uncounted — so best mapping, trajectory, and every
-        // counter are bit-identical to the scalar path at any K.
+    if (options.recordTrajectory || options.threads <= 1) {
+        // The serial loop: checks run per consumed candidate at global
+        // index i and the incumbent is live across the chunk.
         FaultInjector &faults = FaultInjector::global();
         Rng rng(options.seed);
         EvalScratch scratch;
-        BatchEvaluator batch(evaluator);
-        std::vector<Mapping> drawn;
-        drawn.reserve(kDefaultEvalBatch);
+        Chunk chunk(evaluator, options.objective, engines());
         double best = kInf;
         std::uint64_t streak = 0;
         std::uint64_t i = 0;
@@ -420,14 +309,7 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                 want = static_cast<std::size_t>(std::min<std::uint64_t>(
                     want, options.maxEvaluations - i));
             }
-            drawn.clear();
-            batch.begin(want);
-            for (std::size_t j = 0; j < want; ++j) {
-                drawn.push_back(space.sample(rng));
-                batch.add(drawn.back());
-            }
-            batch.run(options.objective, out.stats,
-                      options.boundPruning);
+            chunk.draw(space, rng, want, out.stats);
             for (std::size_t j = 0; j < want; ++j, ++i) {
                 if ((i % kDeadlineStride) == 0 &&
                     (deadline.expired() ||
@@ -440,15 +322,13 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                 if (faults.enabled())
                     faults.maybeThrow("random_search.evaluate");
                 const SampleOutcome sample =
-                    consumeBatched(batch, j, drawn[j], evaluator,
-                                   options, cache, salt, best, scratch,
-                                   out.stats);
+                    chunk.consume(j, best, scratch, out.stats);
                 ++out.evaluated;
                 if (sample.valid) {
                     ++out.valid;
                     if (sample.modeled && sample.metric < best) {
                         best = sample.metric;
-                        out.best = drawn[j];
+                        out.best = chunk.mapping(j);
                         out.bestResult = scratch.result;
                         streak = 0;
                     } else {
@@ -467,50 +347,6 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
         return out;
     }
 
-    if (options.recordTrajectory || options.threads <= 1) {
-        FaultInjector &faults = FaultInjector::global();
-        Rng rng(options.seed);
-        EvalScratch scratch;
-        double best = kInf;
-        std::uint64_t streak = 0;
-        for (std::uint64_t i = 0;; ++i) {
-            if (options.maxEvaluations != 0 &&
-                i >= options.maxEvaluations)
-                break;
-            if ((i % kDeadlineStride) == 0 &&
-                (deadline.expired() ||
-                 (options.cancel != nullptr &&
-                  options.cancel->cancelled()))) {
-                out.deadlineExceeded = true;
-                break;
-            }
-            const Mapping mapping = space.sample(rng);
-            if (faults.enabled())
-                faults.maybeThrow("random_search.evaluate");
-            const SampleOutcome sample =
-                evalSample(mapping, evaluator, options, cache, salt,
-                           best, scratch, out.stats);
-            ++out.evaluated;
-            if (sample.valid) {
-                ++out.valid;
-                if (sample.modeled && sample.metric < best) {
-                    best = sample.metric;
-                    out.best = mapping;
-                    out.bestResult = scratch.result;
-                    streak = 0;
-                } else {
-                    ++streak;
-                }
-            }
-            if (options.recordTrajectory)
-                out.trajectory.push_back(best);
-            if (options.terminationStreak != 0 &&
-                streak >= options.terminationStreak)
-                break;
-        }
-        return out;
-    }
-
     // One shard per worker on an exception-safe pool: a shard that
     // throws (e.g. an injected fault) trips the pool's cancel token,
     // the remaining shards observe it and drain, and waitIdle()
@@ -521,13 +357,8 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
     Rng seeder(options.seed);
     for (unsigned i = 0; i < options.threads; ++i)
         pool.submit([&, stream = seeder.split()]() mutable {
-            if (batched)
-                shardLoopBatched(space, evaluator, options, cache,
-                                 salt, stream, state, cancel,
-                                 deadline);
-            else
-                shardLoop(space, evaluator, options, cache, salt,
-                          stream, state, cancel, deadline);
+            shardLoop(space, evaluator, options, stream, state, cancel,
+                      deadline);
         });
     pool.waitIdle();
 
@@ -547,7 +378,7 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
  * the sampler's — so enabling refinement leaves the sampling prefix
  * untouched. Each step is one evaluation counted in the normal stats
  * (full model: the neighbour's actual metric is the acceptance test,
- * so neither the bound prune nor the memo cache applies); the
+ * so the bound prune does not apply); the
  * termination streak does not — refineSteps is its own budget.
  */
 void
@@ -564,7 +395,7 @@ refineBest(const Mapspace &space, const Evaluator &evaluator,
     double best_metric = best.bestResult.objective(opts.objective);
     EvalScratch scratch;
     std::optional<DeltaEvaluator> engine;
-    if (opts.incremental) {
+    if (engines().incremental) {
         engine.emplace(evaluator);
         engine->rebase(*best.best, best.stats);
     }
@@ -639,37 +470,14 @@ randomSearch(const Mapspace &space, const Evaluator &evaluator,
     // call, not each restart individually.
     const Deadline deadline = Deadline::after(resolved.timeBudget);
 
-    // One cache is shared by every thread of every restart: repeated
-    // samples across restarts are duplicates too. A host-provided
-    // cache (ruby-served) extends that sharing across whole searches;
-    // the context salt below keeps its entries scoped.
-    std::unique_ptr<EvalCache> owned;
-    EvalCache *cache = nullptr;
-    if (resolved.evalCache) {
-        if (resolved.sharedEvalCache != nullptr) {
-            cache = resolved.sharedEvalCache;
-        } else {
-            owned = std::make_unique<EvalCache>(
-                resolved.evalCacheCapacity);
-            cache = owned.get();
-        }
-    }
-    const FingerprintPair salt = evalContextSalt(
-        evaluator.problem(), evaluator.arch(),
-        static_cast<int>(resolved.objective));
-    const std::uint64_t evictions_before =
-        cache != nullptr ? cache->stats().evictions : 0;
-
     SearchResult best;
     if (resolved.restarts <= 1 || resolved.recordTrajectory) {
-        best = runOne(space, evaluator, resolved, cache, salt,
-                      deadline);
+        best = runOne(space, evaluator, resolved, deadline);
     } else {
         for (unsigned r = 0; r < resolved.restarts; ++r) {
             SearchOptions opts = resolved;
             opts.seed = resolved.seed + 1000003ull * r;
-            SearchResult res =
-                runOne(space, evaluator, opts, cache, salt, deadline);
+            SearchResult res = runOne(space, evaluator, opts, deadline);
             const bool better =
                 res.best &&
                 (!best.best ||
@@ -689,13 +497,6 @@ randomSearch(const Mapspace &space, const Evaluator &evaluator,
         }
     }
     refineBest(space, evaluator, resolved, deadline, best);
-    // Evictions are attributed as a delta so a shared cache reports
-    // this search's churn, not its lifetime total. Concurrent
-    // searches on one shared cache may blur the attribution; the sum
-    // over searches stays exact.
-    if (cache != nullptr)
-        best.stats.cacheEvictions =
-            cache->stats().evictions - evictions_before;
     best.timers.totalNs = nsSince(total0);
     return best;
 }

@@ -14,7 +14,6 @@
 
 #include "ruby/common/cancel.hpp"
 #include "ruby/mapspace/mapspace.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/model/evaluator.hpp"
 
 namespace ruby
@@ -94,36 +93,6 @@ struct SearchOptions
     bool recordTrajectory = false;
 
     /**
-     * Skip the full cost model for valid mappings whose objective
-     * lower bound proves they cannot beat the incumbent. Never
-     * changes the best mapping found (see Evaluator::evaluateStaged);
-     * disable only for stage-counter experiments.
-     */
-    bool boundPruning = true;
-
-    /**
-     * Serve neighbour/child candidates through the incremental
-     * (delta) evaluation engine where a strategy supports it (local
-     * and genetic search, and random search's restart refinement).
-     * The engine recomputes exactly — results are bit-identical with
-     * the flag on or off — so disable only to measure its effect.
-     * EvalStats.deltaHits / deltaFallbacks report the split.
-     */
-    bool incremental = true;
-
-    /**
-     * Evaluate candidates K at a time through the batched SoA engine
-     * (BatchEvaluator) where a strategy produces natural batches:
-     * random sampling, exhaustive work-stealing chunks, and genetic
-     * bulk scoring. The batch stages recompute exactly — best
-     * mappings, trajectories and stage counters are bit-identical
-     * with the flag on or off at any batch size — so disable only to
-     * measure the engine's effect. EvalStats.batchCalls /
-     * batchedEvals / batchRejects report the coverage.
-     */
-    bool batchEval = true;
-
-    /**
      * Hill-climbing steps applied to the best mapping after random
      * sampling finishes (0 = off, the classic sampler). Each step
      * evaluates one mutated neighbour — counted in the usual
@@ -131,15 +100,6 @@ struct SearchOptions
      * Deterministic per seed; ignored by the other strategies.
      */
     unsigned refineSteps = 0;
-
-    /**
-     * Deduplicate repeated random samples through the sharded memo
-     * cache (see EvalCache). Never changes the best mapping found.
-     */
-    bool evalCache = true;
-
-    /** Memo-cache capacity in entries (rounded up per shard). */
-    std::size_t evalCacheCapacity = EvalCache::kDefaultCapacity;
 
     /**
      * Island count for the genetic strategy (ignored by the others).
@@ -164,18 +124,6 @@ struct SearchOptions
      * never the layer name.
      */
     bool layerMemo = true;
-
-    /**
-     * Externally owned memo cache shared across whole searches (the
-     * process-lifetime cache of ruby-served). When set (and evalCache
-     * is true) searches use it instead of constructing a private
-     * cache; fingerprints are salted with evalContextSalt() either
-     * way, so sharing across problems and objectives is safe and a
-     * cold shared cache reproduces a private run bit for bit.
-     * cacheEvictions then reports this search's delta, not the
-     * cache's lifetime total. Not owned; must outlive the search.
-     */
-    EvalCache *sharedEvalCache = nullptr;
 
     /**
      * Cross-sweep layer-outcome memo shared by a long-lived host
@@ -234,9 +182,7 @@ struct SearchResult
 
     /**
      * Per-stage fast-path counters: how the drawn mappings were
-     * decided (invalid / bound-pruned / fully modeled) and how the
-     * memo cache behaved. invalid + prunedBound + modeled +
-     * cacheHits == evaluated.
+     * decided. invalid + prunedBound + modeled == evaluated.
      */
     EvalStats stats;
 

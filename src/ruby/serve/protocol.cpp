@@ -284,13 +284,7 @@ searchOptionsToJson(const SearchOptions &options)
                 options.networkTimeBudget.count())));
     out.set("recordTrajectory",
             JsonValue::makeBool(options.recordTrajectory));
-    out.set("boundPruning", JsonValue::makeBool(options.boundPruning));
-    out.set("incremental", JsonValue::makeBool(options.incremental));
-    out.set("batchEval", JsonValue::makeBool(options.batchEval));
     out.set("refineSteps", JsonValue::makeU64(options.refineSteps));
-    out.set("evalCache", JsonValue::makeBool(options.evalCache));
-    out.set("evalCacheCapacity",
-            JsonValue::makeU64(options.evalCacheCapacity));
     out.set("islands", JsonValue::makeU64(options.islands));
     out.set("networkThreads",
             JsonValue::makeU64(options.networkThreads));
@@ -324,14 +318,8 @@ searchOptionsFromJson(const JsonValue &v)
         static_cast<std::uint64_t>(o.networkTimeBudget.count())));
     o.recordTrajectory =
         v.getBool("recordTrajectory", o.recordTrajectory);
-    o.boundPruning = v.getBool("boundPruning", o.boundPruning);
-    o.incremental = v.getBool("incremental", o.incremental);
-    o.batchEval = v.getBool("batchEval", o.batchEval);
     o.refineSteps = static_cast<unsigned>(
         v.getU64("refineSteps", o.refineSteps));
-    o.evalCache = v.getBool("evalCache", o.evalCache);
-    o.evalCacheCapacity = static_cast<std::size_t>(
-        v.getU64("evalCacheCapacity", o.evalCacheCapacity));
     o.islands =
         static_cast<unsigned>(v.getU64("islands", o.islands));
     o.networkThreads = static_cast<unsigned>(
@@ -352,8 +340,6 @@ healthToJson(const Health &health)
     out.set("queueCapacity",
             JsonValue::makeU64(health.queueCapacity));
     out.set("uptimeMs", JsonValue::makeU64(health.uptimeMs));
-    out.set("evalCacheCapacity",
-            JsonValue::makeU64(health.evalCacheCapacity));
     out.set("layerMemoEntries",
             JsonValue::makeU64(health.layerMemoEntries));
     out.set("requestCount",
@@ -382,7 +368,6 @@ healthFromJson(const JsonValue &v)
     health.maxInflight = v.getU64("maxInflight", 0);
     health.queueCapacity = v.getU64("queueCapacity", 0);
     health.uptimeMs = v.getU64("uptimeMs", 0);
-    health.evalCacheCapacity = v.getU64("evalCacheCapacity", 0);
     health.layerMemoEntries = v.getU64("layerMemoEntries", 0);
     health.requestCount = v.getU64("requestCount", 0);
     const JsonValue *p50 = v.find("p50Ms");
@@ -408,10 +393,6 @@ evalStatsToJson(const EvalStats &stats)
     out.set("invalid", JsonValue::makeU64(stats.invalid));
     out.set("prunedBound", JsonValue::makeU64(stats.prunedBound));
     out.set("modeled", JsonValue::makeU64(stats.modeled));
-    out.set("cacheHits", JsonValue::makeU64(stats.cacheHits));
-    out.set("cacheMisses", JsonValue::makeU64(stats.cacheMisses));
-    out.set("cacheEvictions",
-            JsonValue::makeU64(stats.cacheEvictions));
     out.set("deltaAttempts", JsonValue::makeU64(stats.deltaAttempts));
     out.set("deltaHits", JsonValue::makeU64(stats.deltaHits));
     out.set("deltaFallbacks",
@@ -432,9 +413,6 @@ evalStatsFromJson(const JsonValue &v)
     stats.invalid = v.getU64("invalid", 0);
     stats.prunedBound = v.getU64("prunedBound", 0);
     stats.modeled = v.getU64("modeled", 0);
-    stats.cacheHits = v.getU64("cacheHits", 0);
-    stats.cacheMisses = v.getU64("cacheMisses", 0);
-    stats.cacheEvictions = v.getU64("cacheEvictions", 0);
     // Absent on the wire from pre-engine peers: default to zero, the
     // "no incremental engine ran" reading.
     stats.deltaAttempts = v.getU64("deltaAttempts", 0);

@@ -132,8 +132,7 @@ struct Health
     std::uint64_t maxInflight = 0;   ///< concurrent search slots
     std::uint64_t queueCapacity = 0; ///< admission queue bound
     std::uint64_t uptimeMs = 0;      ///< daemon uptime
-    std::uint64_t evalCacheCapacity = 0; ///< warm eval-cache entries
-    std::uint64_t layerMemoEntries = 0;  ///< memoized layer results
+    std::uint64_t layerMemoEntries = 0; ///< memoized layer results
 
     // Response-cache + single-flight gauges (absent on the wire from
     // pre-cache daemons; the codec defaults them to zero).
@@ -175,7 +174,9 @@ JsonValue networkOutcomeToJson(const NetworkOutcome &net);
 NetworkOutcome networkOutcomeFromJson(const JsonValue &v);
 
 JsonValue searchOptionsToJson(const SearchOptions &options);
-/** Starts from defaults; absent keys keep their default values. */
+/** Starts from defaults; absent keys keep their default values and
+ *  unknown keys (e.g. the retired eval-cache and engine switches
+ *  older peers still send) are ignored. */
 SearchOptions searchOptionsFromJson(const JsonValue &v);
 
 JsonValue convShapeToJson(const ConvShape &shape);

@@ -81,7 +81,6 @@ unixSocketIsLive(const std::string &path)
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      evalCache_(options_.evalCacheCapacity),
       admission_(options_.maxInflight, options_.queueCapacity)
 {
     if (options_.responseCache)
@@ -687,7 +686,6 @@ Server::handleQuick(const Request &request, bool &shutdownAfterSend)
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - startTime_)
                 .count());
-        health.evalCacheCapacity = evalCache_.capacity();
         health.layerMemoEntries = layerMemo_.stats().entries;
         if (responseCache_ != nullptr) {
             const ResponseCache::Stats rc = responseCache_->stats();
@@ -730,8 +728,6 @@ void
 Server::prepareSearchOptions(SearchOptions &search)
 {
     search.cancel = &drainCancel_;
-    if (search.evalCache)
-        search.sharedEvalCache = &evalCache_;
     search.sharedLayerMemo = &layerMemo_;
 }
 
@@ -837,21 +833,6 @@ Server::statsJson() const
         std::lock_guard<std::mutex> lock(statsMutex_);
         out.set("latency", latency_.toJson());
     }
-
-    const EvalCache::Stats cache = evalCache_.stats();
-    JsonValue jcache = JsonValue::makeObject();
-    jcache.set("hits", JsonValue::makeU64(cache.hits));
-    jcache.set("misses", JsonValue::makeU64(cache.misses));
-    jcache.set("evictions", JsonValue::makeU64(cache.evictions));
-    jcache.set("capacity",
-               JsonValue::makeU64(evalCache_.capacity()));
-    const std::uint64_t probes = cache.hits + cache.misses;
-    jcache.set("hitRate",
-               JsonValue::makeDouble(
-                   probes != 0 ? static_cast<double>(cache.hits) /
-                                     static_cast<double>(probes)
-                               : 0.0));
-    out.set("evalCache", std::move(jcache));
 
     const LayerMemo::Stats memo = layerMemo_.stats();
     JsonValue jmemo = JsonValue::makeObject();

@@ -2,15 +2,15 @@
  * @file
  * ruby-served: a persistent mapping-as-a-service daemon.
  *
- * One process owns the expensive warm state — a shared EvalCache and
- * a cross-request LayerMemo — and serves mapping searches over a
- * Unix-domain or TCP socket speaking the NDJSON protocol of
- * protocol.hpp. Per-request SearchOptions arrive on the wire and are
- * enforced with the library's existing deadline/cancellation
- * machinery; admission control (admission.hpp) bounds concurrency and
- * queueing; SIGTERM or a "shutdown" request begins a graceful drain
- * (stop accepting, finish or cancel inflight work under a drain
- * budget, flush a final stats line).
+ * One process owns the expensive warm state — a cross-request
+ * LayerMemo and a cache of raw response lines — and serves mapping
+ * searches over a Unix-domain or TCP socket speaking the NDJSON
+ * protocol of protocol.hpp. Per-request SearchOptions arrive on the
+ * wire and are enforced with the library's existing
+ * deadline/cancellation machinery; admission control (admission.hpp)
+ * bounds concurrency and queueing; SIGTERM or a "shutdown" request
+ * begins a graceful drain (stop accepting, finish or cancel inflight
+ * work under a drain budget, flush a final stats line).
  *
  * I/O architecture (since the event-loop rewrite): a single epoll
  * reactor thread (event_loop.hpp) owns every socket — idle
@@ -22,13 +22,12 @@
  * an inflight search — the same backpressure the thread-per-session
  * server enforced by blocking).
  *
- * Determinism contract: a request against a cold daemon produces
- * results bit-identical to the same offline run — shared-cache
- * fingerprints are salted per evaluation context, warm cache hits
- * only ever short-circuit non-improving re-evaluations, and the
- * cross-request memo replays only deterministic configurations (see
- * SearchOptions::sharedEvalCache / sharedLayerMemo and
- * docs/SERVING.md).
+ * Determinism contract: a cold request (one whose layers the daemon
+ * has not searched before) produces a response line byte-identical
+ * to the same offline run, however warm the daemon is; the
+ * cross-request memo replays only deterministic configurations, so a
+ * repeat returns the same outcome marked memoized (see
+ * SearchOptions::sharedLayerMemo and docs/SERVING.md).
  */
 
 #ifndef RUBY_SERVE_SERVER_HPP
@@ -47,7 +46,6 @@
 
 #include "ruby/common/cancel.hpp"
 #include "ruby/common/thread_pool.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/search/driver.hpp"
 #include "ruby/serve/admission.hpp"
 #include "ruby/serve/event_loop.hpp"
@@ -76,10 +74,6 @@ struct ServeOptions
     unsigned maxInflight = 2;
     /** Requests allowed to wait for a slot before rejection. */
     std::size_t queueCapacity = 8;
-
-    /** Shared eval-cache capacity (entries). For bit-identical stats
-     *  against offline runs this must equal the offline capacity. */
-    std::size_t evalCacheCapacity = EvalCache::kDefaultCapacity;
 
     /** Serve repeats of deterministic requests from a cache of raw
      *  response lines, and coalesce identical inflight requests onto
@@ -219,7 +213,6 @@ class Server
     ServeOptions options_;
 
     // Process-lifetime warm state shared by every request.
-    EvalCache evalCache_;
     LayerMemo layerMemo_;
     /** Raw response lines for deterministic repeats (null when
      *  --no-response-cache). */

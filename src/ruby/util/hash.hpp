@@ -4,20 +4,18 @@
  * @file
  * Shared non-cryptographic hashing utilities.
  *
- * One home for the FNV-1a / splitmix64 helpers that used to live as
- * private copies inside the eval cache and the router. Three distinct
- * consumers share them now:
+ * One home for the FNV-1a helpers that used to live as private
+ * copies inside the router and the response cache. Two consumers
+ * share them:
  *
- *  - EvalCache fingerprints (`Fnv` / `FnvPair` over avalanched words),
  *  - the router's consistent-hash ring (`fnv1aBytes` over the routing
- *    key string, deliberately *without* the avalanche step), and
+ *    key string), and
  *  - the serving response cache (shard selection over canonical
  *    request strings).
  *
  * The exact output values are load-bearing: ring placement decides
  * which shard owns a workload (and therefore which shard is warm for
- * it), and eval-cache fingerprints persist across restarts within a
- * process. `tests/model/hash_test.cpp` pins concrete values so a
+ * it). `tests/model/hash_test.cpp` pins concrete values so a
  * refactor here cannot silently re-shard the world.
  */
 
@@ -54,20 +52,7 @@ ceilPow2(std::size_t n)
 }
 
 /**
- * Avalanche one 64-bit word (splitmix64 finalizer) so small integers
- * — which is all a mapping contains — still flip high bits.
- */
-constexpr std::uint64_t
-avalanche(std::uint64_t v)
-{
-    v += 0x9e3779b97f4a7c15ull;
-    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-    return v ^ (v >> 31);
-}
-
-/**
- * Plain byte-wise FNV-1a over a string, no avalanche. With the
+ * Plain byte-wise FNV-1a over a string. With the
  * default seed this is the response cache's shard selector; seeded
  * with kRingOffset it is the consistent-hash ring's key hash. The
  * produced values place virtual nodes on the ring, so they must stay
@@ -83,42 +68,5 @@ fnv1aBytes(std::string_view bytes, std::uint64_t seed = kFnvOffset)
     }
     return hash;
 }
-
-/**
- * FNV-style accumulator folding whole avalanched words.
- * Word-at-a-time keeps the fingerprint cheap enough to sit on the
- * search's per-candidate path.
- */
-struct Fnv
-{
-    std::uint64_t h;
-
-    explicit Fnv(std::uint64_t seed) : h(kFnvOffset)
-    {
-        // Fold the seed in through the normal mix (an initial
-        // `h ^= seed` could cancel against the first mixed value).
-        mix(seed);
-    }
-
-    void mix(std::uint64_t v) { h = (h ^ avalanche(v)) * kFnvPrime; }
-};
-
-/**
- * Two accumulators fed by one traversal: different initial states and
- * different odd multipliers, so a false cache hit needs both 64-bit
- * chains to collide simultaneously.
- */
-struct FnvPair
-{
-    std::uint64_t a = kFnvOffset;
-    std::uint64_t b = 0x6c62272e07bb0142ull;
-
-    void mix(std::uint64_t v)
-    {
-        const std::uint64_t x = avalanche(v);
-        a = (a ^ x) * kFnvPrime;
-        b = (b ^ x) * 0x9e3779b97f4a7c15ull;
-    }
-};
 
 } // namespace ruby::hashing

@@ -18,6 +18,7 @@
 #include "ruby/common/rng.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/genome.hpp"
@@ -204,6 +205,17 @@ TEST(BatchEval, RawIngestMatchesMappingIngest)
     }
 }
 
+/** @p run's result with the batch engine switched off. */
+template <typename Fn>
+auto
+withoutBatch(Fn &&run)
+{
+    Engines scalar = engines();
+    scalar.batchEval = false;
+    const ScopedEngines off(scalar);
+    return run();
+}
+
 /**
  * Search-level parity for the random sampler: with a recorded
  * trajectory, every step of the batched run must match the scalar run
@@ -213,17 +225,14 @@ TEST(BatchEval, RawIngestMatchesMappingIngest)
 void
 randomTrajectoryParity(PresetFixture fix)
 {
-    SearchOptions scalar;
-    scalar.seed = 5;
-    scalar.maxEvaluations = 3000;
-    scalar.recordTrajectory = true;
-    scalar.threads = 1;
-    scalar.batchEval = false;
-    SearchOptions batched = scalar;
-    batched.batchEval = true;
-
-    const SearchResult a = randomSearch(fix.space, fix.eval, scalar);
-    const SearchResult b = randomSearch(fix.space, fix.eval, batched);
+    SearchOptions opts;
+    opts.seed = 5;
+    opts.maxEvaluations = 3000;
+    opts.recordTrajectory = true;
+    opts.threads = 1;
+    const SearchResult a = withoutBatch(
+        [&] { return randomSearch(fix.space, fix.eval, opts); });
+    const SearchResult b = randomSearch(fix.space, fix.eval, opts);
 
     EXPECT_EQ(a.evaluated, b.evaluated);
     EXPECT_EQ(a.valid, b.valid);
@@ -231,8 +240,6 @@ randomTrajectoryParity(PresetFixture fix)
     EXPECT_EQ(a.stats.invalid, b.stats.invalid);
     EXPECT_EQ(a.stats.prunedBound, b.stats.prunedBound);
     EXPECT_EQ(a.stats.modeled, b.stats.modeled);
-    EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits);
-    EXPECT_EQ(a.stats.cacheMisses, b.stats.cacheMisses);
     ASSERT_EQ(a.best.has_value(), b.best.has_value());
     if (a.best) {
         EXPECT_EQ(a.bestResult.edp, b.bestResult.edp);
@@ -270,17 +277,14 @@ TEST(BatchEval, PartialBatchStopsMatchScalar)
     PresetFixture fix = eyerissFixture();
     for (const std::uint64_t cap : {std::uint64_t{7},
                                     std::uint64_t{100}}) {
-        SearchOptions scalar;
-        scalar.seed = 9;
-        scalar.maxEvaluations = cap;
-        scalar.threads = 1;
-        scalar.batchEval = false;
-        SearchOptions batched = scalar;
-        batched.batchEval = true;
-        const SearchResult a =
-            randomSearch(fix.space, fix.eval, scalar);
+        SearchOptions opts;
+        opts.seed = 9;
+        opts.maxEvaluations = cap;
+        opts.threads = 1;
+        const SearchResult a = withoutBatch(
+            [&] { return randomSearch(fix.space, fix.eval, opts); });
         const SearchResult b =
-            randomSearch(fix.space, fix.eval, batched);
+            randomSearch(fix.space, fix.eval, opts);
         EXPECT_EQ(a.evaluated, cap);
         EXPECT_EQ(a.evaluated, b.evaluated);
         EXPECT_EQ(a.valid, b.valid);
@@ -288,16 +292,14 @@ TEST(BatchEval, PartialBatchStopsMatchScalar)
         EXPECT_EQ(b.stats.batchedEvals, b.evaluated);
     }
 
-    SearchOptions scalar;
-    scalar.seed = 9;
-    scalar.maxEvaluations = 5000;
-    scalar.terminationStreak = 37;
-    scalar.threads = 1;
-    scalar.batchEval = false;
-    SearchOptions batched = scalar;
-    batched.batchEval = true;
-    const SearchResult a = randomSearch(fix.space, fix.eval, scalar);
-    const SearchResult b = randomSearch(fix.space, fix.eval, batched);
+    SearchOptions opts;
+    opts.seed = 9;
+    opts.maxEvaluations = 5000;
+    opts.terminationStreak = 37;
+    opts.threads = 1;
+    const SearchResult a = withoutBatch(
+        [&] { return randomSearch(fix.space, fix.eval, opts); });
+    const SearchResult b = randomSearch(fix.space, fix.eval, opts);
     EXPECT_EQ(a.evaluated, b.evaluated);
     EXPECT_EQ(a.valid, b.valid);
     ASSERT_EQ(a.best.has_value(), b.best.has_value());
@@ -318,7 +320,6 @@ TEST(BatchEval, ThreadedRandomKeepsPartitionIdentity)
     opts.seed = 13;
     opts.maxEvaluations = 4000;
     opts.threads = 4;
-    opts.batchEval = true;
     const SearchResult res = randomSearch(fix.space, fix.eval, opts);
     expectStatsPartition(res.stats, res.evaluated);
     EXPECT_GT(res.stats.batchCalls, 0u);
@@ -334,15 +335,12 @@ exhaustiveBatchParity(const ArchSpec &arch, ConstraintPreset preset)
     const Mapspace space(cons, MapspaceVariant::RubyS);
     const Evaluator eval(prob, arch);
 
-    ExhaustiveOptions scalar;
-    scalar.maxEvaluations = 4000;
-    scalar.threads = 1;
-    scalar.batchEval = false;
-    ExhaustiveOptions batched = scalar;
-    batched.batchEval = true;
-
-    const ExhaustiveResult a = exhaustiveSearch(space, eval, scalar);
-    const ExhaustiveResult b = exhaustiveSearch(space, eval, batched);
+    ExhaustiveOptions opts;
+    opts.maxEvaluations = 4000;
+    opts.threads = 1;
+    const ExhaustiveResult a = withoutBatch(
+        [&] { return exhaustiveSearch(space, eval, opts); });
+    const ExhaustiveResult b = exhaustiveSearch(space, eval, opts);
 
     // Serial enumeration with one incumbent: every stage count must
     // match, not just the best.
@@ -363,7 +361,7 @@ exhaustiveBatchParity(const ArchSpec &arch, ConstraintPreset preset)
     // Across thread counts the best and the totals stay invariant
     // (only the pruned/modeled split may shift, as for the scalar
     // path).
-    ExhaustiveOptions threaded = batched;
+    ExhaustiveOptions threaded = opts;
     threaded.threads = 4;
     const ExhaustiveResult c = exhaustiveSearch(space, eval, threaded);
     EXPECT_EQ(a.evaluated, c.evaluated);
@@ -396,18 +394,15 @@ geneticBatchParity(bool incremental)
     const Mapspace space(cons, MapspaceVariant::RubyS);
     const Evaluator eval(prob, arch);
 
-    GeneticOptions scalar;
-    scalar.populationSize = 16;
-    scalar.generations = 8;
-    scalar.islands = 2;
-    scalar.threads = 1;
-    scalar.incremental = incremental;
-    scalar.batchEval = false;
-    GeneticOptions batched = scalar;
-    batched.batchEval = true;
-
-    const SearchResult a = geneticSearch(space, eval, scalar);
-    const SearchResult b = geneticSearch(space, eval, batched);
+    GeneticOptions opts;
+    opts.populationSize = 16;
+    opts.generations = 8;
+    opts.islands = 2;
+    opts.threads = 1;
+    const ScopedEngines delta(Engines{true, true, incremental});
+    const SearchResult a = withoutBatch(
+        [&] { return geneticSearch(space, eval, opts); });
+    const SearchResult b = geneticSearch(space, eval, opts);
 
     EXPECT_EQ(a.evaluated, b.evaluated);
     EXPECT_EQ(a.valid, b.valid);
@@ -429,7 +424,7 @@ geneticBatchParity(bool incremental)
 
     // And across thread counts the batched path stays bit-identical,
     // like the scalar path.
-    GeneticOptions threaded = batched;
+    GeneticOptions threaded = opts;
     threaded.threads = 4;
     const SearchResult c = geneticSearch(space, eval, threaded);
     EXPECT_EQ(b.evaluated, c.evaluated);

@@ -14,6 +14,7 @@
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/rng.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/random_search.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/suites/suites.hpp"
@@ -161,8 +162,8 @@ TEST(EvalFastPath, StagedStagesMatchDirectEvaluate)
 /**
  * End-to-end parity: with a fixed seed and a single thread, the
  * search must find the same best mapping, visit the same number of
- * samples and terminate identically whether the fast path (bound
- * pruning + memo cache) is on or off.
+ * samples and terminate identically whether the bound prune is on or
+ * off.
  */
 void
 runSearchParity(PresetFixture &fx)
@@ -173,12 +174,13 @@ runSearchParity(PresetFixture &fx)
     fast.terminationStreak = 400;
     fast.maxEvaluations = 20'000;
 
-    SearchOptions slow = fast;
-    slow.boundPruning = false;
-    slow.evalCache = false;
-
     const SearchResult a = randomSearch(fx.space, fx.eval, fast);
-    const SearchResult b = randomSearch(fx.space, fx.eval, slow);
+    Engines unpruned;
+    unpruned.boundPruning = false;
+    const SearchResult b = [&] {
+        const ScopedEngines off(unpruned);
+        return randomSearch(fx.space, fx.eval, fast);
+    }();
 
     ASSERT_EQ(a.best.has_value(), b.best.has_value());
     EXPECT_EQ(a.evaluated, b.evaluated);
@@ -191,11 +193,10 @@ runSearchParity(PresetFixture &fx)
     // Stage counters partition the drawn samples.
     for (const SearchResult *r : {&a, &b})
         EXPECT_EQ(r->stats.invalid + r->stats.prunedBound +
-                      r->stats.modeled + r->stats.cacheHits,
+                      r->stats.modeled,
                   r->evaluated);
-    // The slow configuration must not have used the fast path.
+    // The unpruned run must not have used the bound.
     EXPECT_EQ(b.stats.prunedBound, 0u);
-    EXPECT_EQ(b.stats.cacheHits, 0u);
     EXPECT_EQ(b.stats.modeled + b.stats.invalid, b.evaluated);
 }
 
@@ -221,11 +222,8 @@ TEST(EvalFastPath, ThreadedSearchCountsStayConsistent)
     const SearchResult res = randomSearch(fx.space, fx.eval, opts);
     ASSERT_TRUE(res.best.has_value());
     EXPECT_EQ(res.stats.invalid + res.stats.prunedBound +
-                  res.stats.modeled + res.stats.cacheHits,
+                  res.stats.modeled,
               res.evaluated);
-    // The cache is consulted only past validity and the bound, so
-    // every miss leads to exactly one full model run.
-    EXPECT_EQ(res.stats.cacheMisses, res.stats.modeled);
 }
 
 } // namespace

@@ -4,10 +4,9 @@
  *
  * These hashes are observable behavior, not implementation detail:
  * ring placement decides which backend owns (and is warm for) a
- * shape, and eval-cache fingerprints key memoized results. Every
- * expectation below is a literal constant, so any refactor that
- * changes an output — a "fixed" basis, a reordered mix — fails here
- * instead of silently re-sharding the fleet.
+ * shape. Every expectation below is a literal constant, so any
+ * refactor that changes an output — a "fixed" basis, a reordered mix —
+ * fails here instead of silently re-sharding the fleet.
  */
 
 #include "ruby/util/hash.hpp"
@@ -81,35 +80,6 @@ TEST(Hash, RingHashKeyUsesTheFrozenSeed)
                   fnv1aBytes(key, kRingOffset))
             << key;
     }
-}
-
-TEST(Hash, AvalanchePinnedValues)
-{
-    EXPECT_EQ(avalanche(0), 0xe220a8397b1dcdafull);
-    EXPECT_EQ(avalanche(1), 0x910a2dec89025cc1ull);
-    EXPECT_EQ(avalanche(0xdeadbeefull), 0x4adfb90f68c9eb9bull);
-}
-
-TEST(Hash, FnvAccumulatorPinnedValues)
-{
-    Fnv f(42);
-    EXPECT_EQ(f.h, 0x8b55a4c9e70f0210ull);
-    f.mix(7);
-    EXPECT_EQ(f.h, 0x81ff53ba41c1cf25ull);
-}
-
-TEST(Hash, FnvPairPinnedValues)
-{
-    FnvPair p;
-    EXPECT_EQ(p.a, kFnvOffset);
-    EXPECT_EQ(p.b, 0x6c62272e07bb0142ull);
-    p.mix(42);
-    p.mix(7);
-    // The `a` chain is exactly Fnv seeded with the first value...
-    EXPECT_EQ(p.a, 0x81ff53ba41c1cf25ull);
-    // ...while the `b` chain diverges (different basis + multiplier).
-    EXPECT_EQ(p.b, 0xd85492ede2a0da84ull);
-    EXPECT_NE(p.a, p.b);
 }
 
 TEST(Hash, CeilPow2)

@@ -21,6 +21,7 @@
 #include "pbt.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/evaluator.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/random_search.hpp"
 
 namespace
@@ -124,21 +125,27 @@ batchedSearchReplaysScalar(const WorkloadCase &c)
     const Mapspace space(cons, c.variant);
     const Evaluator eval(prob, arch);
 
-    SearchOptions scalar;
-    scalar.seed = c.sampleSeed;
-    scalar.maxEvaluations = 400;
-    scalar.terminationStreak = 150;
-    scalar.recordTrajectory = true;
-    scalar.threads = 1;
-    scalar.batchEval = false;
-    SearchOptions batched = scalar;
-    batched.batchEval = true;
+    SearchOptions opts;
+    opts.seed = c.sampleSeed;
+    opts.maxEvaluations = 400;
+    opts.terminationStreak = 150;
+    opts.recordTrajectory = true;
+    opts.threads = 1;
 
-    const SearchResult a = randomSearch(space, eval, scalar);
-    const SearchResult b = randomSearch(space, eval, batched);
+    const SearchResult a = [&] {
+        Engines off;
+        off.batchEval = false;
+        const ScopedEngines scope(off);
+        return randomSearch(space, eval, opts);
+    }();
+    const SearchResult b = randomSearch(space, eval, opts);
 
     std::ostringstream os;
     os.precision(17);
+    if (a.stats.batchCalls != 0) {
+        os << "the scalar run batched (" << c.describe() << ")";
+        return os.str();
+    }
     if (a.evaluated != b.evaluated || a.valid != b.valid) {
         os << "totals diverge: scalar " << a.evaluated << "/" << a.valid
            << " vs batched " << b.evaluated << "/" << b.valid << " ("
@@ -153,7 +160,6 @@ batchedSearchReplaysScalar(const WorkloadCase &c)
     }
     if (a.stats.invalid != b.stats.invalid ||
         a.stats.prunedBound != b.stats.prunedBound ||
-        a.stats.cacheHits != b.stats.cacheHits ||
         a.stats.modeled != b.stats.modeled) {
         os << "stage counters diverge (" << c.describe() << ")";
         return os.str();

@@ -495,12 +495,7 @@ genSearchOptions(Rng &rng)
     o.networkTimeBudget =
         std::chrono::milliseconds(rng.below(100'000));
     o.recordTrajectory = rng.below(2) == 1;
-    o.boundPruning = rng.below(2) == 1;
-    o.incremental = rng.below(2) == 1;
-    o.batchEval = rng.below(2) == 1;
     o.refineSteps = static_cast<unsigned>(rng.below(64));
-    o.evalCache = rng.below(2) == 1;
-    o.evalCacheCapacity = 1ull << rng.between(4, 20);
     o.islands = static_cast<unsigned>(rng.between(1, 6));
     o.networkThreads = static_cast<unsigned>(rng.between(1, 4));
     o.layerMemo = rng.below(2) == 1;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Search-layer properties: staged evaluation (bound pruning + memo
- * cache) never changes a search's trajectory or result, exhaustive
+ * Search-layer properties: staged evaluation (bound pruning + batched
+ * evaluation) never changes a search's trajectory or result, exhaustive
  * enumeration is bit-identical across thread counts, and the
  * mapspace-containment chain PFM subset Ruby-S/Ruby-T subset Ruby is
  * visible in the optima (a larger space never loses).
@@ -17,6 +17,7 @@
 #include "generators.hpp"
 #include "pbt.hpp"
 #include "ruby/model/evaluator.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/random_search.hpp"
 
@@ -28,7 +29,7 @@ using pbt::WorkloadCase;
 
 /**
  * Property 4 — staged == unstaged trajectories: with the termination
- * rules fixed, enabling bound pruning and the memo cache changes
+ * rules fixed, enabling bound pruning and batched evaluation changes
  * neither the best-so-far trajectory nor the final result of a
  * random search. The staged path must be a pure execution detail.
  */
@@ -46,18 +47,15 @@ stagedMatchesUnstagedTrajectory(const WorkloadCase &c)
     base.terminationStreak = 0;
     base.maxEvaluations = 250;
     base.seed = c.sampleSeed;
-    base.incremental = false;
 
-    SearchOptions staged = base;
-    staged.boundPruning = true;
-    staged.evalCache = true;
-    SearchOptions unstaged = base;
-    unstaged.boundPruning = false;
-    unstaged.evalCache = false;
+    const SearchResult a = randomSearch(space, eval, base);
+    const SearchResult b = [&] {
+        const ScopedEngines unstaged(Engines{false, false, false});
+        return randomSearch(space, eval, base);
+    }();
 
-    const SearchResult a = randomSearch(space, eval, staged);
-    const SearchResult b = randomSearch(space, eval, unstaged);
-
+    if (b.stats.prunedBound != 0 || b.stats.batchCalls != 0)
+        return "the unstaged run used an engine (" + c.describe() + ")";
     if (a.evaluated != b.evaluated || a.valid != b.valid) {
         std::ostringstream os;
         os << "counts diverge: staged evaluated=" << a.evaluated

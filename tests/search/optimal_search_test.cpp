@@ -5,6 +5,7 @@
 #include "ruby/arch/presets.hpp"
 #include "ruby/mapspace/counting.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/workload/problem.hpp"
 
@@ -152,15 +153,20 @@ TEST(OptimalSearch, BoundAndBatchTogglesPreserveTheWinner)
     ASSERT_TRUE(base.certified);
     for (const bool boundPruning : {true, false})
         for (const bool batchEval : {true, false}) {
-            OptimalOptions opts;
-            opts.boundPruning = boundPruning;
-            opts.batchEval = batchEval;
-            const OptimalResult res = optimalSearch(space, eval, opts);
+            const ScopedEngines engines(
+                Engines{boundPruning, batchEval, true});
+            const OptimalResult res = optimalSearch(space, eval);
             ASSERT_TRUE(res.best.has_value());
             EXPECT_TRUE(res.certified);
             EXPECT_EQ(res.best->toString(), base.best->toString());
             EXPECT_EQ(res.bestResult.edp, base.bestResult.edp);
             EXPECT_EQ(res.evaluated, base.evaluated);
+            if (!boundPruning) {
+                EXPECT_EQ(res.stats.prunedBound, 0u);
+            }
+            if (!batchEval) {
+                EXPECT_EQ(res.stats.batchCalls, 0u);
+            }
         }
 }
 

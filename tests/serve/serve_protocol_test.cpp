@@ -33,9 +33,6 @@ fancyOptions()
     o.timeBudget = std::chrono::milliseconds(250);
     o.networkTimeBudget = std::chrono::milliseconds(4000);
     o.recordTrajectory = true;
-    o.boundPruning = false;
-    o.evalCache = false;
-    o.evalCacheCapacity = 1024;
     o.islands = 7;
     o.networkThreads = 2;
     o.layerMemo = false;
@@ -103,9 +100,6 @@ TEST(ServeProtocol, SearchOptionsRoundTrip)
     EXPECT_EQ(back.timeBudget, o.timeBudget);
     EXPECT_EQ(back.networkTimeBudget, o.networkTimeBudget);
     EXPECT_EQ(back.recordTrajectory, o.recordTrajectory);
-    EXPECT_EQ(back.boundPruning, o.boundPruning);
-    EXPECT_EQ(back.evalCache, o.evalCache);
-    EXPECT_EQ(back.evalCacheCapacity, o.evalCacheCapacity);
     EXPECT_EQ(back.islands, o.islands);
     EXPECT_EQ(back.networkThreads, o.networkThreads);
     EXPECT_EQ(back.layerMemo, o.layerMemo);
@@ -114,12 +108,34 @@ TEST(ServeProtocol, SearchOptionsRoundTrip)
 TEST(ServeProtocol, SearchOptionsDefaultsSurviveEmptyPayload)
 {
     const SearchOptions defaults;
-    const SearchOptions back =
-        searchOptionsFromJson(JsonValue::makeObject());
-    EXPECT_EQ(back.strategy, defaults.strategy);
-    EXPECT_EQ(back.terminationStreak, defaults.terminationStreak);
-    EXPECT_EQ(back.evalCache, defaults.evalCache);
-    EXPECT_EQ(back.layerMemo, defaults.layerMemo);
+    // An empty payload, and one from an older peer still carrying the
+    // retired eval-cache and engine switches, both decode to the
+    // defaults: unknown keys are ignored.
+    for (const char *payload :
+         {"{}", "{\"evalCache\":false,\"evalCacheCapacity\":16,"
+                "\"boundPruning\":false,\"incremental\":false,"
+                "\"batchEval\":false}"}) {
+        SCOPED_TRACE(payload);
+        const SearchOptions back =
+            searchOptionsFromJson(parseJson(payload));
+        EXPECT_EQ(back.strategy, defaults.strategy);
+        EXPECT_EQ(back.terminationStreak, defaults.terminationStreak);
+        EXPECT_EQ(back.layerMemo, defaults.layerMemo);
+        EXPECT_EQ(writeJson(searchOptionsToJson(back)),
+                  writeJson(searchOptionsToJson(defaults)));
+    }
+
+    // A pong from an older daemon still reports its eval-cache
+    // capacity; it decodes as a healthy code-0 answer.
+    const JsonValue pong = parseJson(
+        "{\"v\":1,\"type\":\"pong\",\"id\":\"p\",\"code\":0,"
+        "\"health\":{\"ok\":true,\"maxInflight\":2,"
+        "\"evalCacheCapacity\":65536,\"layerMemoEntries\":3}}");
+    EXPECT_EQ(pong.at("code").asU64(), 0u);
+    const Health health = healthFromJson(pong.at("health"));
+    EXPECT_TRUE(health.ok);
+    EXPECT_EQ(health.maxInflight, 2u);
+    EXPECT_EQ(health.layerMemoEntries, 3u);
 }
 
 TEST(ServeProtocol, EvalResultRoundTripsExactly)
@@ -142,10 +158,7 @@ TEST(ServeProtocol, LayerOutcomeRoundTrip)
     out.evaluated = 40000;
     out.stats.invalid = 100;
     out.stats.prunedBound = 200;
-    out.stats.modeled = 39600;
-    out.stats.cacheHits = 100;
-    out.stats.cacheMisses = 39900;
-    out.stats.cacheEvictions = 3;
+    out.stats.modeled = 39700;
     out.bestMapping = "L0: c4 m2 | L1: p7\n";
     out.timedOut = true;
     out.certified = true;
@@ -163,9 +176,6 @@ TEST(ServeProtocol, LayerOutcomeRoundTrip)
     EXPECT_EQ(back.stats.invalid, out.stats.invalid);
     EXPECT_EQ(back.stats.prunedBound, out.stats.prunedBound);
     EXPECT_EQ(back.stats.modeled, out.stats.modeled);
-    EXPECT_EQ(back.stats.cacheHits, out.stats.cacheHits);
-    EXPECT_EQ(back.stats.cacheMisses, out.stats.cacheMisses);
-    EXPECT_EQ(back.stats.cacheEvictions, out.stats.cacheEvictions);
     EXPECT_EQ(back.bestMapping, out.bestMapping);
     EXPECT_EQ(back.failure, out.failure);
     EXPECT_EQ(back.timedOut, out.timedOut);
@@ -327,7 +337,6 @@ TEST(ServeProtocol, HealthRoundTripsEveryField)
     h.maxInflight = 8;
     h.queueCapacity = 64;
     h.uptimeMs = 123456;
-    h.evalCacheCapacity = 4096;
     h.layerMemoEntries = 17;
     h.responseCacheEntries = 42;
     h.responseCacheHitRate = 0.625;
@@ -344,7 +353,6 @@ TEST(ServeProtocol, HealthRoundTripsEveryField)
     EXPECT_EQ(back.maxInflight, h.maxInflight);
     EXPECT_EQ(back.queueCapacity, h.queueCapacity);
     EXPECT_EQ(back.uptimeMs, h.uptimeMs);
-    EXPECT_EQ(back.evalCacheCapacity, h.evalCacheCapacity);
     EXPECT_EQ(back.layerMemoEntries, h.layerMemoEntries);
     EXPECT_EQ(back.responseCacheEntries, h.responseCacheEntries);
     EXPECT_EQ(back.responseCacheHitRate, h.responseCacheHitRate);

@@ -18,14 +18,10 @@
  * --strategy random|exhaustive|genetic|local|optimal (search
  * algorithm; `optimal` is certified branch-and-bound — see
  * docs/PERFORMANCE.md "Certified-optimal search"),
- * --islands N (genetic sub-populations),
- * --[no-]eval-cache (mapping memo cache; on by default),
- * --cache-capacity N (memo-cache entries),
- * --[no-]bound-pruning (objective lower-bound prune; on by default),
- * --[no-]incremental (delta evaluation engine; on by default),
- * --[no-]batch-eval (batched SoA evaluation; on by default),
- * --pad, --yaml (machine-readable output instead of the human
- * report). See docs/PERFORMANCE.md for the fast-path knobs.
+ * --islands N (genetic sub-populations), --pad, --yaml
+ * (machine-readable output instead of the human report). The
+ * evaluation engines (bound prune, batched and delta evaluation) are
+ * always on; see docs/PERFORMANCE.md.
  *
  * `net` suites: resnet50 | deepbench | alexnet; --arch eyeriss|simba
  * picks the preset architecture (Eyeriss-like by default); takes the
@@ -39,10 +35,10 @@
  * for the valid-PFM column; default 512).
  *
  * `serve` runs ruby-served, the persistent mapping daemon (warm
- * shared caches, admission control, graceful drain on SIGTERM — see
- * docs/SERVING.md): --unix PATH or --host H --port N (port 0 binds an
- * ephemeral port and logs it), --max-inflight N, --queue-capacity N,
- * --drain-budget MS, --cache-capacity N, --quiet.
+ * layer memo and response cache, admission control, graceful drain
+ * on SIGTERM — see docs/SERVING.md): --unix PATH or --host H --port N
+ * (port 0 binds an ephemeral port and logs it), --max-inflight N,
+ * --queue-capacity N, --drain-budget MS, --quiet.
  *
  * `route` runs ruby-router, the consistent-hash front for a fleet of
  * daemons (see docs/SERVING.md "Fleet topology"): repeatable
@@ -136,9 +132,6 @@ usage()
            "          [--constraints P] [--evals N] [--streak N]"
            " [--seed N]\n"
            "          [--threads N] [--restarts N] [--time-budget MS]\n"
-           "          [--[no-]eval-cache] [--cache-capacity N]\n"
-           "          [--[no-]bound-pruning] [--[no-]incremental]\n"
-           "          [--[no-]batch-eval]\n"
            "          [--strategy"
            " random|exhaustive|genetic|local|optimal]\n"
            "          [--islands N] [--pad] [--yaml]\n"
@@ -150,7 +143,7 @@ usage()
            "  ruby-map suites\n"
            "  ruby-map serve [--unix PATH | --host H --port N]\n"
            "          [--max-inflight N] [--queue-capacity N]\n"
-           "          [--drain-budget MS] [--cache-capacity N]\n"
+           "          [--drain-budget MS]\n"
            "          [--[no-]response-cache]"
            " [--response-cache-capacity N]\n"
            "          [--quiet]\n"
@@ -237,25 +230,6 @@ applySearchFlag(const std::string &flag, SearchOptions &search,
     else if (flag == "--network-budget")
         search.networkTimeBudget =
             std::chrono::milliseconds(parseU64Arg(flag, next()));
-    else if (flag == "--eval-cache")
-        search.evalCache = true;
-    else if (flag == "--no-eval-cache")
-        search.evalCache = false;
-    else if (flag == "--cache-capacity")
-        search.evalCacheCapacity =
-            static_cast<std::size_t>(parseU64Arg(flag, next()));
-    else if (flag == "--bound-pruning")
-        search.boundPruning = true;
-    else if (flag == "--no-bound-pruning")
-        search.boundPruning = false;
-    else if (flag == "--incremental")
-        search.incremental = true;
-    else if (flag == "--no-incremental")
-        search.incremental = false;
-    else if (flag == "--batch-eval")
-        search.batchEval = true;
-    else if (flag == "--no-batch-eval")
-        search.batchEval = false;
     else if (flag == "--strategy") {
         // An unknown strategy is a usage mistake (exit 2 with the
         // usage text), not the generic config error the protocol
@@ -309,8 +283,7 @@ reportMapResult(const Problem &problem, const ArchSpec &arch,
     std::cout << "evaluated " << result.evaluated << " mappings ("
               << result.stats.modeled << " fully modeled, "
               << result.stats.invalid << " invalid, "
-              << result.stats.prunedBound << " bound-pruned, "
-              << result.stats.cacheHits << " cache hits)\n";
+              << result.stats.prunedBound << " bound-pruned)\n";
     // Mirrors the network report: printed only when the incremental
     // engine actually served candidates, so engine-free runs stay
     // byte-identical to pre-engine output.
@@ -582,9 +555,6 @@ runServe(const std::vector<std::string> &args)
         else if (flag == "--drain-budget")
             options.drainBudget =
                 std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--cache-capacity")
-            options.evalCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
         else if (flag == "--response-cache")
             options.responseCache = true;
         else if (flag == "--no-response-cache")
@@ -771,7 +741,6 @@ printPingHealth(const serve::JsonValue &response)
               << health.maxInflight << " queued=" << health.queued
               << "/" << health.queueCapacity
               << " uptime-ms=" << health.uptimeMs
-              << " eval-cache-capacity=" << health.evalCacheCapacity
               << " layer-memo-entries=" << health.layerMemoEntries
               << " response-cache-entries="
               << health.responseCacheEntries
