@@ -53,7 +53,16 @@ struct SearchOptions
     /** Hard cap on evaluated mappings (0 = unlimited). */
     std::uint64_t maxEvaluations = 0;
 
-    /** RNG seed; searches are deterministic per (seed, threads). */
+    /**
+     * RNG seed. Exhaustive, optimal and genetic (at fixed islands)
+     * results do not depend on threads. Local search through the
+     * driver runs one start per thread, so its result is reproducible
+     * per (seed, threads). Random search is reproducible per seed only
+     * at threads == 1: its shards share the evaluated counter and a
+     * timing-dependent incumbent snapshot, so two threaded runs may
+     * differ (the layer memo and the response cache never replay
+     * them; see docs/PERFORMANCE.md "Parallel search").
+     */
     std::uint64_t seed = 42;
 
     /**

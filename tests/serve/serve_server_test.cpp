@@ -464,9 +464,6 @@ TEST(ServeServer, ConcurrentIdenticalRequestsAgree)
     ServeOptions options = tcpOptions();
     options.maxInflight = 4;
     options.queueCapacity = 16;
-    // Repeats must re-run the search on a warm daemon, not replay a
-    // cached response line.
-    options.responseCache = false;
     Server server(options);
     server.start();
 
@@ -481,8 +478,11 @@ TEST(ServeServer, ConcurrentIdenticalRequestsAgree)
             << writeJson(response);
     }
 
-    // >= 8 concurrent identical requests, each on its own
-    // connection. A warm daemon must not change any result.
+    // >= 8 concurrent identical searches, each on its own
+    // connection. A warm daemon must not change any result. Each
+    // client's config carries its own YAML comment: the search is
+    // the same, but the response-cache key differs, so every request
+    // runs rather than replaying a cached response line.
     constexpr int kClients = 8;
     std::vector<std::string> bestMappings(kClients);
     std::vector<double> edps(kClients, -1.0);
@@ -493,9 +493,12 @@ TEST(ServeServer, ConcurrentIdenticalRequestsAgree)
             try {
                 Client client =
                     Client::connectTcp("127.0.0.1", server.port());
+                const std::string config = std::string(kQuickConfig) +
+                                           "# client " +
+                                           std::to_string(t) + "\n";
                 const JsonValue response =
                     client.call(encodeRequest(mapRequest(
-                        "c" + std::to_string(t), kQuickConfig,
+                        "c" + std::to_string(t), config.c_str(),
                         quickOptions(SearchStrategy::Random))));
                 if (response.at("code").asU64() != 0) {
                     ++failures;
@@ -525,6 +528,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsAgree)
 
     const JsonValue stats = server.statsJson();
     EXPECT_EQ(stats.at("requests").at("completed").asU64(), 9u);
+    EXPECT_EQ(stats.at("responseCache").at("hits").asU64(), 0u);
 
     server.requestShutdown();
     server.waitForShutdown();
@@ -556,7 +560,6 @@ TEST(ServeServer, ResponseCacheServesRepeatsWithoutSearching)
 
     const JsonValue stats = server.statsJson();
     const JsonValue &cache = stats.at("responseCache");
-    EXPECT_TRUE(cache.at("enabled").asBool());
     EXPECT_EQ(cache.at("hits").asU64(), 1u);
     EXPECT_EQ(cache.at("misses").asU64(), 1u);
     EXPECT_EQ(cache.at("entries").asU64(), 1u);
@@ -568,39 +571,6 @@ TEST(ServeServer, ResponseCacheServesRepeatsWithoutSearching)
                   .asU64(),
               1u);
     EXPECT_EQ(stats.at("latency").at("count").asU64(), 1u);
-
-    server.requestShutdown();
-    server.waitForShutdown();
-}
-
-/** With --no-response-cache the stats block stays, zeroed/disabled,
- *  and repeats run real searches again. */
-TEST(ServeServer, ResponseCacheCanBeDisabled)
-{
-    ServeOptions options = tcpOptions();
-    options.responseCache = false;
-    Server server(options);
-    server.start();
-    Client client = Client::connectTcp("127.0.0.1", server.port());
-
-    const SearchOptions search =
-        quickOptions(SearchStrategy::Random);
-    for (const char *id : {"a", "b"}) {
-        const JsonValue response = client.call(encodeRequest(
-            mapRequest(id, kQuickConfig, search)));
-        ASSERT_EQ(response.at("code").asU64(), 0u);
-    }
-
-    const JsonValue stats = server.statsJson();
-    const JsonValue &cache = stats.at("responseCache");
-    EXPECT_FALSE(cache.at("enabled").asBool());
-    EXPECT_EQ(cache.at("hits").asU64(), 0u);
-    EXPECT_EQ(cache.at("misses").asU64(), 0u);
-    EXPECT_EQ(stats.at("strategies")
-                  .at("random")
-                  .at("requests")
-                  .asU64(),
-              2u);
 
     server.requestShutdown();
     server.waitForShutdown();
@@ -903,11 +873,7 @@ TEST(ServeServer, MalformedLinesGetStructuredErrors)
 
 TEST(ServeServer, StatsReportStrategyThroughputAndMemo)
 {
-    ServeOptions options = tcpOptions();
-    // The repeat must reach the layer memo (and count as a second
-    // strategy request), not short-circuit in the response cache.
-    options.responseCache = false;
-    Server server(options);
+    Server server(tcpOptions());
     server.start();
     Client client = Client::connectTcp("127.0.0.1", server.port());
 
@@ -932,6 +898,12 @@ TEST(ServeServer, StatsReportStrategyThroughputAndMemo)
         networkOutcomeFromJson(first.at("net"));
     EXPECT_EQ(firstNet.memoizedLayers, 1); // in-sweep duplicate
 
+    // The repeat renames every layer: the response cache keys on the
+    // full request, so it misses and the search runs (a second
+    // strategy request), while the cross-request layer memo keys on
+    // numeric shape and replays each layer.
+    for (Layer &layer : req.layers)
+        layer.shape.name += "_again";
     const JsonValue second = client.call(encodeRequest(req));
     const NetworkOutcome secondNet =
         networkOutcomeFromJson(second.at("net"));

@@ -143,8 +143,7 @@ usage()
            "  ruby-map suites\n"
            "  ruby-map serve [--unix PATH | --host H --port N]\n"
            "          [--max-inflight N] [--queue-capacity N]\n"
-           "          [--drain-budget MS]\n"
-           "          [--[no-]response-cache]"
+           "          [--drain-budget MS]"
            " [--response-cache-capacity N]\n"
            "          [--quiet]\n"
            "  ruby-map route --backend (unix:PATH | HOST:PORT) ...\n"
@@ -153,8 +152,7 @@ usage()
            "          [--health-interval MS] [--forwarders N]\n"
            "          [--queue-capacity N] [--retry N]\n"
            "          [--retry-budget MS] [--drain-budget MS]\n"
-           "          [--[no-]response-cache]"
-           " [--response-cache-capacity N]\n"
+           "          [--response-cache-capacity N]\n"
            "          [--quiet]\n"
            "  ruby-map remote (--unix PATH | --host H --port N)\n"
            "          [--retry N] [--retry-budget MS]\n"
@@ -528,6 +526,35 @@ runSuites(const std::vector<std::string> &args)
     return kExitOk;
 }
 
+/** Apply @p flag if it is one every front door takes (socket, queue,
+ *  response cache, drain, logging); false otherwise. */
+template <typename Next>
+bool
+parseFrontDoorFlag(const std::string &flag, Next &&next,
+                   serve::FrontDoorOptions &options)
+{
+    if (flag == "--unix")
+        options.unixPath = next();
+    else if (flag == "--host")
+        options.host = next();
+    else if (flag == "--port")
+        options.port = static_cast<int>(parseU64Arg(flag, next()));
+    else if (flag == "--queue-capacity")
+        options.queueCapacity =
+            static_cast<std::size_t>(parseU64Arg(flag, next()));
+    else if (flag == "--drain-budget")
+        options.drainBudget =
+            std::chrono::milliseconds(parseU64Arg(flag, next()));
+    else if (flag == "--response-cache-capacity")
+        options.responseCacheCapacity =
+            static_cast<std::size_t>(parseU64Arg(flag, next()));
+    else if (flag == "--quiet")
+        options.logLifecycle = false;
+    else
+        return false;
+    return true;
+}
+
 int
 runServe(const std::vector<std::string> &args)
 {
@@ -539,31 +566,11 @@ runServe(const std::vector<std::string> &args)
                        " expects an argument");
             return args[++i];
         };
-        if (flag == "--unix")
-            options.unixPath = next();
-        else if (flag == "--host")
-            options.host = next();
-        else if (flag == "--port")
-            options.port =
-                static_cast<int>(parseU64Arg(flag, next()));
-        else if (flag == "--max-inflight")
+        if (parseFrontDoorFlag(flag, next, options))
+            continue;
+        if (flag == "--max-inflight")
             options.maxInflight =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
-        else if (flag == "--queue-capacity")
-            options.queueCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--drain-budget")
-            options.drainBudget =
-                std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--response-cache")
-            options.responseCache = true;
-        else if (flag == "--no-response-cache")
-            options.responseCache = false;
-        else if (flag == "--response-cache-capacity")
-            options.responseCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--quiet")
-            options.logLifecycle = false;
         else
             unknownFlag(flag);
     }
@@ -613,15 +620,10 @@ runRoute(const std::vector<std::string> &args)
                        " expects an argument");
             return args[++i];
         };
+        if (parseFrontDoorFlag(flag, next, options))
+            continue;
         if (flag == "--backend")
             options.backends.push_back(parseBackendSpec(next()));
-        else if (flag == "--unix")
-            options.unixPath = next();
-        else if (flag == "--host")
-            options.host = next();
-        else if (flag == "--port")
-            options.port =
-                static_cast<int>(parseU64Arg(flag, next()));
         else if (flag == "--replicas")
             options.replicas =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
@@ -637,9 +639,6 @@ runRoute(const std::vector<std::string> &args)
         else if (flag == "--forwarders")
             options.maxForwards =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
-        else if (flag == "--queue-capacity")
-            options.queueCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
         else if (flag == "--retry") {
             options.retry.attempts =
                 static_cast<int>(parseU64Arg(flag, next()));
@@ -648,18 +647,6 @@ runRoute(const std::vector<std::string> &args)
         } else if (flag == "--retry-budget")
             options.retry.budget =
                 std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--drain-budget")
-            options.drainBudget =
-                std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--response-cache")
-            options.responseCache = true;
-        else if (flag == "--no-response-cache")
-            options.responseCache = false;
-        else if (flag == "--response-cache-capacity")
-            options.responseCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--quiet")
-            options.logLifecycle = false;
         else
             unknownFlag(flag);
     }
