@@ -69,7 +69,8 @@ struct RunPoint
 {
     unsigned threads = 1;
     bool incremental = false;
-    double wallMs = 0.0;
+    double wallMs = 0.0;    ///< best of the point's runs
+    double wallMsMax = 0.0; ///< worst of the point's runs (spread)
     double speedup = 1.0; ///< baseline wall / this wall
     double bestEdp = 0.0;
     bool parity = true; ///< best EDP identical to the baseline run
@@ -107,7 +108,8 @@ struct RunOutcome
  * incremental flag as given. Strategies without an engine pass
  * incremental = false and get a pure thread-scaling series. Each
  * point's wall is the best of @p reps identical runs (the results are
- * deterministic, so repeats only damp scheduler noise).
+ * deterministic, so repeats only damp scheduler noise); the worst is
+ * kept too, so the report shows the spread.
  */
 template <typename Fn>
 std::vector<RunPoint>
@@ -128,6 +130,7 @@ sweepThreads(Fn &&run, bool incremental, int reps)
             const double ms = elapsedMs(start);
             if (r == 0 || ms < p.wallMs)
                 p.wallMs = ms;
+            p.wallMsMax = std::max(p.wallMsMax, ms);
         }
         p.bestEdp = out.bestEdp;
         p.deltaHitRate =
@@ -140,8 +143,8 @@ sweepThreads(Fn &&run, bool incremental, int reps)
         measure(1, false, base);
         points.push_back(base);
         std::cout << "    baseline (1 thread, incremental off): "
-                  << base.wallMs << " ms, best EDP " << base.bestEdp
-                  << "\n";
+                  << base.wallMs << " ms (worst " << base.wallMsMax
+                  << "), best EDP " << base.bestEdp << "\n";
     }
     for (const unsigned t : kThreadCounts) {
         RunPoint p;
@@ -150,7 +153,8 @@ sweepThreads(Fn &&run, bool incremental, int reps)
         p.parity = p.bestEdp == points.front().bestEdp;
         points.push_back(p);
         std::cout << "    " << t << " thread(s): " << p.wallMs
-                  << " ms, speedup " << p.speedup << "x, best EDP "
+                  << " ms (worst " << p.wallMsMax << "), speedup "
+                  << p.speedup << "x, best EDP "
                   << p.bestEdp
                   << (p.parity ? "" : "  [PARITY BROKEN]") << "\n";
     }
@@ -168,6 +172,7 @@ emitSeries(std::ofstream &json, const char *name,
              << ", \"incremental\": "
              << (p.incremental ? "true" : "false")
              << ", \"wall_ms\": " << p.wallMs
+             << ", \"wall_ms_max\": " << p.wallMsMax
              << ", \"speedup\": " << p.speedup
              << ", \"best_edp\": " << p.bestEdp << ", \"parity\": "
              << (p.parity ? "true" : "false")
@@ -216,12 +221,14 @@ main(int argc, char **argv)
         },
         false, 3);
 
+    // Sized so every point runs for over a second even at 8 threads:
+    // shorter runs measure thread start-up, not scaling.
     std::cout << "  genetic (8 islands):\n";
     const auto genetic = sweepThreads(
         [&](unsigned t) {
             GeneticOptions opts;
-            opts.populationSize = 32;
-            opts.generations = full ? 40 : 10;
+            opts.populationSize = 64;
+            opts.generations = full ? 3600 : 1800;
             opts.islands = 8;
             opts.threads = t;
             const SearchResult res =

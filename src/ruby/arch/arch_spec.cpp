@@ -23,6 +23,10 @@ ArchSpec::ArchSpec(std::string name, std::vector<StorageLevelSpec> levels,
                    "level ", lvl.name, ": fanout must be >= 1");
         RUBY_CHECK(lvl.bandwidthWordsPerCycle >= 0,
                    "level ", lvl.name, ": bandwidth must be >= 0");
+        RUBY_CHECK(lvl.readEnergy >= 0 && lvl.writeEnergy >= 0 &&
+                       lvl.area >= 0,
+                   "level ", lvl.name,
+                   ": energy/area must be non-negative");
     }
 }
 

@@ -21,20 +21,33 @@ errorPrefix(const std::string &context)
     return context.empty() ? std::string() : context + ": ";
 }
 
+/** A named-enum key of the mapper section, read through @p parse. */
+template <typename T>
+T
+parseNamed(const JsonValue &mapper, const char *key, const char *fallback,
+           T (*parse)(const std::string &, const std::string &))
+{
+    const JsonValue *v = mapper.find(key);
+    return v == nullptr ? parse(fallback, "")
+                        : parse(v->asString(), v->where());
+}
+
 StorageLevelSpec
-loadLevel(const ConfigNode &node, bool is_last)
+loadLevel(const JsonValue &node, bool is_last)
 {
     StorageLevelSpec lvl;
     lvl.name = node.at("name").asString();
     const bool backing = node.getBool("backing_store", is_last);
-    RUBY_CHECK(backing == is_last, node.path(),
+    RUBY_CHECK(backing == is_last, node.where(),
                ": only the outermost level may be the backing store");
 
     lvl.capacityWords =
         backing ? 0 : node.getU64("capacity_words", 0);
-    if (const ConfigNode *per = node.find("per_tensor_capacity")) {
-        for (std::size_t i = 0; i < per->size(); ++i)
-            lvl.perTensorCapacity.push_back((*per)[i].asU64());
+    if (const JsonValue *per = node.find("per_tensor_capacity")) {
+        RUBY_CHECK(per->type == JsonType::Array, per->where(),
+                   ": expected a sequence");
+        for (const JsonValue &words : per->array)
+            lvl.perTensorCapacity.push_back(words.asU64());
     }
     lvl.bandwidthWordsPerCycle = node.getDouble("bandwidth", 0.0);
     lvl.fanoutX = node.getU64("fanout_x", 1);
@@ -66,17 +79,17 @@ loadLevel(const ConfigNode &node, bool is_last)
 } // namespace
 
 ArchSpec
-loadArchSpec(const ConfigNode &root)
+loadArchSpec(const JsonValue &root)
 {
-    const ConfigNode &arch = root.at("architecture");
-    const ConfigNode &levels = arch.at("levels");
-    RUBY_CHECK(levels.isSequence() && levels.size() >= 1,
-               levels.path(), ": expected a sequence of levels");
+    const JsonValue &arch = root.at("architecture");
+    const JsonValue &levels = arch.at("levels");
+    RUBY_CHECK(levels.type == JsonType::Array && !levels.array.empty(),
+               levels.where(), ": expected a sequence of levels");
 
     std::vector<StorageLevelSpec> specs;
-    for (std::size_t i = 0; i < levels.size(); ++i)
+    for (std::size_t i = 0; i < levels.array.size(); ++i)
         specs.push_back(
-            loadLevel(levels[i], i + 1 == levels.size()));
+            loadLevel(levels.array[i], i + 1 == levels.array.size()));
 
     const std::uint64_t word_bits = arch.getU64("word_bits", 16);
     return ArchSpec(arch.getString("name", "custom"),
@@ -89,9 +102,9 @@ loadArchSpec(const ConfigNode &root)
 }
 
 Problem
-loadProblem(const ConfigNode &root)
+loadProblem(const JsonValue &root)
 {
-    const ConfigNode &wl = root.at("workload");
+    const JsonValue &wl = root.at("workload");
     const std::string type = wl.at("type").asString();
     const std::string name = wl.getString("name", type);
 
@@ -105,17 +118,17 @@ loadProblem(const ConfigNode &root)
         sh.q = wl.getU64("q", 1);
         sh.r = wl.getU64("r", 1);
         sh.s = wl.getU64("s", 1);
-        if (const ConfigNode *stride = wl.find("stride")) {
-            RUBY_CHECK(stride->size() == 2, stride->path(),
+        if (const JsonValue *stride = wl.find("stride")) {
+            RUBY_CHECK(stride->array.size() == 2, stride->where(),
                        ": stride must be [h, w]");
-            sh.strideH = (*stride)[0].asU64();
-            sh.strideW = (*stride)[1].asU64();
+            sh.strideH = stride->array[0].asU64();
+            sh.strideW = stride->array[1].asU64();
         }
-        if (const ConfigNode *dilation = wl.find("dilation")) {
-            RUBY_CHECK(dilation->size() == 2, dilation->path(),
+        if (const JsonValue *dilation = wl.find("dilation")) {
+            RUBY_CHECK(dilation->array.size() == 2, dilation->where(),
                        ": dilation must be [h, w]");
-            sh.dilationH = (*dilation)[0].asU64();
-            sh.dilationW = (*dilation)[1].asU64();
+            sh.dilationH = dilation->array[0].asU64();
+            sh.dilationW = dilation->array[1].asU64();
         }
         return makeConv(sh);
     }
@@ -126,7 +139,7 @@ loadProblem(const ConfigNode &root)
     if (type == "vector") {
         return makeVector1D(wl.at("d").asU64(), name);
     }
-    RUBY_FATAL(wl.path(), ": unknown workload type '", type,
+    RUBY_FATAL(wl.at("type").where(), ": unknown workload type '", type,
                "' (expected conv | gemm | vector)");
 }
 
@@ -174,34 +187,34 @@ parsePreset(const std::string &name, const std::string &context)
 }
 
 MapperConfig
-loadMapperConfig(const ConfigNode &root)
+loadMapperConfig(const JsonValue &root)
 {
     MapperConfig config;
-    const ConfigNode *mapper = root.find("mapper");
+    const JsonValue *mapper = root.find("mapper");
     if (mapper == nullptr)
         return config;
+    RUBY_CHECK(mapper->type == JsonType::Object, mapper->where(),
+               ": expected a map");
     config.variant =
-        parseVariant(mapper->getString("mapspace", "ruby-s"),
-                     mapper->path() + "/mapspace");
+        parseNamed(*mapper, "mapspace", "ruby-s", parseVariant);
     config.preset =
-        parsePreset(mapper->getString("constraints", "none"),
-                    mapper->path() + "/constraints");
+        parseNamed(*mapper, "constraints", "none", parsePreset);
     config.pad = mapper->getBool("pad", false);
     config.search.objective =
-        parseObjective(mapper->getString("objective", "edp"),
-                       mapper->path() + "/objective");
+        parseNamed(*mapper, "objective", "edp", parseObjective);
     config.search.terminationStreak =
         mapper->getU64("termination_streak", 3000);
     config.search.maxEvaluations =
         mapper->getU64("max_evaluations", 0);
     config.search.seed = mapper->getU64("seed", 42);
     const std::uint64_t threads = mapper->getU64("threads", 1);
-    RUBY_CHECK(threads <= 4096, mapper->path(),
-               "/threads: ", threads, " exceeds the cap of 4096");
+    RUBY_CHECK(threads <= 4096, mapper->at("threads").where(),
+               ": threads ", threads, " exceeds the cap of 4096");
     config.search.threads = static_cast<unsigned>(threads);
     const std::uint64_t restarts = mapper->getU64("restarts", 1);
-    RUBY_CHECK(restarts >= 1 && restarts <= 4096, mapper->path(),
-               "/restarts: must be in [1, 4096], got ", restarts);
+    RUBY_CHECK(restarts >= 1 && restarts <= 4096,
+               mapper->at("restarts").where(),
+               ": restarts must be in [1, 4096], got ", restarts);
     config.search.restarts = static_cast<unsigned>(restarts);
     config.search.timeBudget = std::chrono::milliseconds(
         mapper->getU64("time_budget_ms", 0));
@@ -213,7 +226,7 @@ loadMapperConfig(const ConfigNode &root)
 Mapper
 loadMapper(const std::string &text)
 {
-    const ConfigNode root = ConfigNode::parse(text);
+    const JsonValue root = parseYaml(text);
     return Mapper(loadProblem(root), loadArchSpec(root),
                   loadMapperConfig(root));
 }

@@ -50,9 +50,13 @@
  *   pad: false
  * @endcode
  *
- * Every load error identifies the document section and key being
- * parsed (e.g. "architecture/levels[1]/fanout_x: ...") so malformed
- * configs can be located without reading the loader source.
+ * Documents parse with parseYaml, which types scalars: a plain number
+ * token is a number, true/yes/on and false/no/off are booleans, the
+ * rest are strings; quote a value to force a string (name: "64").
+ * Integer keys reject -1, +5, .5, 1e3, 0x10 and 2^64; number keys
+ * reject inf, nan and quoted numbers. Every load error names the
+ * offending value's source line (e.g. "config line 8: '-1' is not an
+ * unsigned 64-bit integer").
  */
 
 #ifndef RUBY_IO_LOADERS_HPP
@@ -61,19 +65,19 @@
 #include <string>
 
 #include "ruby/core/mapper.hpp"
-#include "ruby/io/config_node.hpp"
+#include "ruby/io/json.hpp"
 
 namespace ruby
 {
 
 /** Build an ArchSpec from an "architecture:" document. */
-ArchSpec loadArchSpec(const ConfigNode &root);
+ArchSpec loadArchSpec(const JsonValue &root);
 
 /** Build a Problem from a "workload:" document. */
-Problem loadProblem(const ConfigNode &root);
+Problem loadProblem(const JsonValue &root);
 
 /** Build a MapperConfig from a "mapper:" document (all optional). */
-MapperConfig loadMapperConfig(const ConfigNode &root);
+MapperConfig loadMapperConfig(const JsonValue &root);
 
 /** Parse @p text and assemble a ready-to-run Mapper from all three
  *  sections ("architecture" and "workload" required). */

@@ -25,7 +25,8 @@ void printReport(std::ostream &os, const Problem &problem,
 
 /**
  * Emit the evaluation as a YAML document (parseable back by
- * ConfigNode::parse; used for logging results from scripts).
+ * parseYaml, every metric as a Number node; used for logging results
+ * from scripts).
  */
 void writeResultYaml(std::ostream &os, const Problem &problem,
                      const ArchSpec &arch, const EvalResult &result);

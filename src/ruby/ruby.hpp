@@ -20,7 +20,7 @@
 #include "ruby/common/table.hpp"
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/core/mapper.hpp"
-#include "ruby/io/config_node.hpp"
+#include "ruby/io/json.hpp"
 #include "ruby/io/loaders.hpp"
 #include "ruby/io/report.hpp"
 #include "ruby/mapping/constraints.hpp"

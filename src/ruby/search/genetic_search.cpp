@@ -10,7 +10,6 @@
 #include "ruby/common/error.hpp"
 #include "ruby/common/fault_injector.hpp"
 #include "ruby/common/thread_pool.hpp"
-#include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
 #include "ruby/search/engines.hpp"
 #include "ruby/search/genome.hpp"
@@ -41,14 +40,7 @@ struct Individual
     double fitness = kInf; ///< objective value; lower is better
 };
 
-/** One sub-population with its own RNG stream. */
-struct Island
-{
-    Rng rng;
-    std::vector<Individual> population;
-};
-
-/** Per-worker evaluation counters, merged after each batch. */
+/** Per-island evaluation counters, merged after each step. */
 struct Tally
 {
     EvalStats stats;
@@ -66,11 +58,18 @@ struct Tally
     }
 };
 
-/** A population member awaiting scoring. */
-struct ScoreJob
+/**
+ * One sub-population with its own RNG stream, counters and scratch.
+ * A step (seed or breed, then score) touches nothing but its island,
+ * so islands can step on any worker without changing any result.
+ */
+struct Island
 {
-    unsigned island;
-    std::size_t member;
+    Rng rng;
+    std::vector<Individual> population;
+    std::vector<Individual> spare; ///< storage for the next generation
+    Tally tally;                   ///< merged in island order per step
+    EvalScratch scratch;           ///< scoreOne's workspace
 };
 
 /**
@@ -112,9 +111,10 @@ scoreOne(const Mapspace &space, const Evaluator &evaluator,
  */
 void
 scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
-            Island &island, DeltaEvaluator &engine, Tally &tally,
+            Island &island, DeltaEvaluator &engine,
             const CancelToken *external, const CancelToken *poolCancel)
 {
+    Tally &tally = island.tally;
     if (elites >= island.population.size())
         return;
     FaultInjector &faults = FaultInjector::global();
@@ -144,70 +144,6 @@ scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
         ++tally.stats.modeled;
         ++tally.valid;
         ind.fitness = res.objective(objective);
-    }
-    tally.timers.evalNs += nsSince(t0);
-}
-
-/**
- * Score jobs [lo, hi) through the batch engine, K members at a time.
- * Genome decision tables are ingested directly — no Mapping is built
- * for members the batch validity stages reject — and fitness needs
- * every surviving member's actual value, so the bound stages are
- * skipped outright (withBound = false). Each job writes only its own
- * individual's fitness plus @p tally, so chunked claiming stays free
- * to vary across runs. Fitness values are bit-identical to scoreOne().
- */
-void
-scoreJobsBatched(const Mapspace &space, const Evaluator &evaluator,
-                 Objective objective,
-                 std::vector<Island> &archipelago,
-                 const std::vector<ScoreJob> &jobs, std::size_t lo,
-                 std::size_t hi, BatchEvaluator &batch,
-                 EvalScratch &scratch, Tally &tally,
-                 const CancelToken *external,
-                 const CancelToken *poolCancel)
-{
-    FaultInjector &faults = FaultInjector::global();
-    const auto t0 = Clock::now();
-    for (std::size_t s = lo; s < hi;) {
-        const std::size_t want =
-            std::min<std::size_t>(kDefaultEvalBatch, hi - s);
-        batch.begin(want);
-        for (std::size_t j = 0; j < want; ++j) {
-            const MappingGenome &g =
-                archipelago[jobs[s + j].island]
-                    .population[jobs[s + j].member]
-                    .genome;
-            batch.add(g.steady, g.keep, g.axes);
-        }
-        batch.run(objective, tally.stats, /*withBound=*/false);
-        for (std::size_t j = 0; j < want; ++j) {
-            if ((external != nullptr && external->cancelled()) ||
-                (poolCancel != nullptr && poolCancel->cancelled())) {
-                tally.timers.evalNs += nsSince(t0);
-                return;
-            }
-            Individual &ind = archipelago[jobs[s + j].island]
-                                  .population[jobs[s + j].member];
-            if (faults.enabled())
-                faults.maybeThrow("genetic_search.evaluate");
-            ++tally.evaluated;
-            ++tally.stats.batchedEvals;
-            if (!batch.valid(j)) {
-                ++tally.stats.invalid;
-                ++tally.stats.batchRejects;
-                ind.fitness = kInf;
-                continue;
-            }
-            const Mapping mapping = ind.genome.materialize(
-                space.problem(), space.arch());
-            batch.prepareScratch(j, scratch);
-            evaluator.modelValidated(mapping, scratch);
-            ++tally.stats.modeled;
-            ++tally.valid;
-            ind.fitness = scratch.result.objective(objective);
-        }
-        s += want;
     }
     tally.timers.evalNs += nsSince(t0);
 }
@@ -264,176 +200,66 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     std::vector<Island> archipelago;
     archipelago.reserve(K);
     if (K == 1) {
-        archipelago.push_back(Island{Rng(options.seed), {}});
+        archipelago.push_back(Island{Rng(options.seed), {}, {}, {}, {}});
     } else {
         Rng seeder(options.seed);
         for (unsigned k = 0; k < K; ++k)
-            archipelago.push_back(Island{seeder.split(), {}});
+            archipelago.push_back(Island{seeder.split(), {}, {}, {}, {}});
     }
 
+    // Islands are the unit of parallel work, so more workers than
+    // islands would only idle.
     std::unique_ptr<ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<ThreadPool>(threads);
-    std::vector<EvalScratch> worker_scratch(threads);
+    if (std::min(threads, K) > 1)
+        pool = std::make_unique<ThreadPool>(std::min(threads, K));
     Tally tally;
     SearchTimers timers;
 
-    // One persistent incremental engine and tally per island. The
-    // tallies are merged in island index order after each generation,
-    // so the counters are a pure function of (seed, islands) — never
-    // of which worker scored which island.
+    // One persistent incremental engine per island.
     const bool incremental = engines().incremental;
     std::vector<DeltaEvaluator> delta_engines;
-    std::vector<Tally> island_tallies;
     if (incremental) {
         delta_engines.reserve(K);
         for (unsigned k = 0; k < K; ++k)
             delta_engines.emplace_back(evaluator);
-        island_tallies.resize(K);
     }
 
-    // Evaluate a batch of members. Each job writes only its own
-    // individual's fitness and a per-worker tally, so the claim order
-    // is free to vary across runs without affecting any result.
     auto externallyCancelled = [&]() {
         return options.cancel != nullptr && options.cancel->cancelled();
     };
-    // One persistent batch engine per worker (lane arrays are reused
-    // across generations). Configurations whose keep/axis tables
-    // overflow the engine's mask lanes score on the scalar path.
-    const bool batched =
-        engines().batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
-    std::vector<BatchEvaluator> batch_engines;
-    if (batched) {
-        batch_engines.reserve(threads);
-        for (unsigned w = 0; w < threads; ++w)
-            batch_engines.emplace_back(evaluator);
-    }
-
-    auto scoreBatch = [&](const std::vector<ScoreJob> &jobs) {
-        if (pool == nullptr || jobs.size() <= 1) {
-            if (batched && jobs.size() > 1) {
-                scoreJobsBatched(space, evaluator, options.objective,
-                                 archipelago, jobs, 0, jobs.size(),
-                                 batch_engines[0], worker_scratch[0],
-                                 tally, options.cancel, nullptr);
-                return;
-            }
-            for (const ScoreJob &job : jobs) {
-                if (externallyCancelled())
-                    return;
-                scoreOne(space, evaluator, options.objective,
-                         archipelago[job.island]
-                             .population[job.member],
-                         worker_scratch[0], tally);
-            }
-            return;
-        }
-        std::atomic<std::size_t> next{0};
-        const auto workers = static_cast<unsigned>(
-            std::min<std::size_t>(threads, jobs.size()));
-        std::vector<Tally> tallies(workers);
-        const CancelToken &cancel = pool->cancelToken();
-        if (batched) {
-            // Workers claim whole K-wide chunks so each batch stays
-            // contiguous; the merge below is commutative, so the
-            // claim order cannot affect any result.
-            for (unsigned w = 0; w < workers; ++w)
-                pool->submit([&, w]() {
-                    for (;;) {
-                        const std::size_t lo = next.fetch_add(
-                            kDefaultEvalBatch,
-                            std::memory_order_relaxed);
-                        if (lo >= jobs.size() ||
-                            cancel.cancelled() ||
-                            externallyCancelled())
-                            return;
-                        const std::size_t hi =
-                            std::min(jobs.size(),
-                                     lo + kDefaultEvalBatch);
-                        scoreJobsBatched(
-                            space, evaluator, options.objective,
-                            archipelago, jobs, lo, hi,
-                            batch_engines[w], worker_scratch[w],
-                            tallies[w], options.cancel, &cancel);
-                    }
-                });
-            pool->waitIdle();
-            for (const Tally &t : tallies)
-                tally += t;
-            return;
-        }
-        for (unsigned w = 0; w < workers; ++w)
-            pool->submit([&, w]() {
-                for (;;) {
-                    const std::size_t idx = next.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (idx >= jobs.size() || cancel.cancelled() ||
-                        externallyCancelled())
-                        return;
-                    const ScoreJob &job = jobs[idx];
-                    scoreOne(space, evaluator, options.objective,
-                             archipelago[job.island]
-                                 .population[job.member],
-                             worker_scratch[w], tallies[w]);
-                }
-            });
-        pool->waitIdle();
-        for (const Tally &t : tallies)
-            tally += t;
+    auto stopped = [&](const CancelToken *poolCancel) {
+        return externallyCancelled() ||
+               (poolCancel != nullptr && poolCancel->cancelled());
     };
 
-    std::vector<ScoreJob> jobs;
-
-    // Score one bred generation. Incremental mode hands each island
-    // to exactly one worker as a contiguous chunk (the engine's base
-    // reuse lives across a whole island's children); the classic mode
-    // keeps the per-individual job batch.
-    auto scoreGeneration = [&]() {
-        if (!incremental) {
-            jobs.clear();
-            for (unsigned k = 0; k < K; ++k)
-                for (std::size_t m = options.elites;
-                     m < archipelago[k].population.size(); ++m)
-                    jobs.push_back(ScoreJob{k, m});
-            scoreBatch(jobs);
-            return;
-        }
-        if (pool == nullptr || K == 1) {
-            for (unsigned k = 0; k < K; ++k) {
-                if (externallyCancelled())
-                    break;
-                scoreIsland(space, options.objective, options.elites,
-                            archipelago[k], delta_engines[k],
-                            island_tallies[k], options.cancel,
-                            nullptr);
-            }
+    // Run step(k, poolCancel) on every island: serially, or with
+    // workers claiming whole islands. Each step consumes only its own
+    // island's RNG stream, so the trajectory is the serial one at any
+    // thread count. The tallies are merged in island index order, so
+    // the counters are a pure function of (seed, islands) — never of
+    // which worker stepped which island.
+    auto forEachIsland = [&](auto &&step) {
+        if (pool == nullptr) {
+            for (unsigned k = 0; k < K && !externallyCancelled(); ++k)
+                step(k, nullptr);
         } else {
             std::atomic<unsigned> next{0};
-            const auto workers = static_cast<unsigned>(
-                std::min<std::size_t>(threads, K));
             const CancelToken &cancel = pool->cancelToken();
-            for (unsigned w = 0; w < workers; ++w)
+            for (unsigned w = 0; w < pool->size(); ++w)
                 pool->submit([&]() {
                     for (;;) {
                         const unsigned k = next.fetch_add(
                             1, std::memory_order_relaxed);
-                        if (k >= K || cancel.cancelled() ||
-                            externallyCancelled())
+                        if (k >= K || stopped(&cancel))
                             return;
-                        scoreIsland(space, options.objective,
-                                    options.elites, archipelago[k],
-                                    delta_engines[k], island_tallies[k],
-                                    options.cancel, &cancel);
+                        step(k, &cancel);
                     }
                 });
             pool->waitIdle();
         }
-        for (unsigned k = 0; k < K; ++k) {
-            tally += island_tallies[k];
-            island_tallies[k] = Tally{};
+        for (Island &island : archipelago) {
+            tally += island.tally;
+            island.tally = Tally{};
         }
     };
 
@@ -450,21 +276,21 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
                 }
     };
 
-    // Seed every island's population from the random sampler. The
-    // draws consume each island's own stream serially; only the
-    // scoring fans out (per individual: there is no base to share
-    // yet, so the incremental engine starts at the first bred
-    // generation).
-    for (unsigned k = 0; k < K; ++k) {
+    // Seed every island from the random sampler and score it member
+    // by member: there is no base to share yet, so the incremental
+    // engine starts at the first bred generation.
+    forEachIsland([&](unsigned k, const CancelToken *poolCancel) {
         Island &island = archipelago[k];
         island.population.resize(options.populationSize);
-        for (std::size_t m = 0; m < island.population.size(); ++m) {
-            island.population[m].genome =
-                extractGenome(space.sample(island.rng));
-            jobs.push_back(ScoreJob{k, m});
+        for (Individual &ind : island.population)
+            ind.genome = extractGenome(space.sample(island.rng));
+        for (Individual &ind : island.population) {
+            if (stopped(poolCancel))
+                return;
+            scoreOne(space, evaluator, options.objective, ind,
+                     island.scratch, island.tally);
         }
-    }
-    scoreBatch(jobs);
+    });
     updateGlobalBest();
 
     auto selectParent = [&](Island &island) -> const Individual & {
@@ -479,61 +305,75 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
         return *best;
     };
 
+    // Breed island k's next generation, then score it: through the
+    // island's incremental engine (the engine's base reuse lives
+    // across a whole island's children), or member by member when
+    // that engine is off.
+    auto breedAndScore = [&](unsigned k, const CancelToken *poolCancel) {
+        Island &island = archipelago[k];
+        const auto breed0 = Clock::now();
+        // The next generation overwrites the one before last in place
+        // (same shapes, so no allocation): breeding then scales with
+        // threads instead of queueing on the allocator.
+        std::vector<Individual> &next_pop = island.spare;
+        next_pop.resize(island.population.size());
+
+        // Elitism: carry the best genomes over unchanged (their
+        // fitness is already known; they are not rescored).
+        const std::vector<std::size_t> order =
+            rankedIndices(island.population);
+        std::size_t filled = 0;
+        for (; filled < options.elites && filled < next_pop.size();
+             ++filled)
+            next_pop[filled] = island.population[order[filled]];
+
+        for (; filled < next_pop.size(); ++filled) {
+            Individual &child = next_pop[filled];
+            // Sequence the two tournaments explicitly: as function
+            // arguments their evaluation order would be unspecified,
+            // and the RNG stream must not depend on the compiler's
+            // choice. The second parent draws first — this pins the
+            // stream the historical builds produced, keeping seeded
+            // results comparable.
+            const Individual &p2 = selectParent(island);
+            const Individual &p1 = selectParent(island);
+            // At crossoverRate >= 1.0 the decision draw is skipped
+            // outright, not merely always-true, so the stream matches
+            // builds that predate the knob.
+            const bool do_cross =
+                options.crossoverRate >= 1.0 ||
+                island.rng.uniform() < options.crossoverRate;
+            child.genome = p1.genome;
+            child.fitness = kInf;
+            if (do_cross)
+                crossover(child.genome, p2.genome, island.rng);
+            if (island.rng.uniform() < options.mutationRate)
+                mutate(child.genome, space, island.rng);
+        }
+        island.population.swap(next_pop);
+        island.tally.timers.breedNs += nsSince(breed0);
+
+        if (incremental) {
+            scoreIsland(space, options.objective, options.elites, island,
+                        delta_engines[k], options.cancel, poolCancel);
+            return;
+        }
+        for (std::size_t m = options.elites;
+             m < island.population.size(); ++m) {
+            if (stopped(poolCancel))
+                return;
+            scoreOne(space, evaluator, options.objective,
+                     island.population[m], island.scratch,
+                     island.tally);
+        }
+    };
+
     for (unsigned gen = 0; gen < options.generations; ++gen) {
         // Drain point: between generations the population is fully
         // scored, so stopping here returns a coherent best-so-far.
         if (externallyCancelled())
             break;
-        // Breeding phase: serial per island, in island order, so each
-        // island's RNG stream is consumed exactly as a fully serial
-        // run would consume it.
-        const auto breed0 = Clock::now();
-        std::vector<std::vector<Individual>> offspring(K);
-        for (unsigned k = 0; k < K; ++k) {
-            Island &island = archipelago[k];
-            std::vector<Individual> &next_pop = offspring[k];
-            next_pop.reserve(island.population.size());
-
-            // Elitism: carry the best genomes over unchanged (their
-            // fitness is already known; they are not rescored).
-            const std::vector<std::size_t> order =
-                rankedIndices(island.population);
-            for (unsigned e = 0; e < options.elites &&
-                                 e < island.population.size();
-                 ++e)
-                next_pop.push_back(island.population[order[e]]);
-
-            while (next_pop.size() < island.population.size()) {
-                Individual child;
-                // Sequence the two tournaments explicitly: as
-                // function arguments their evaluation order would be
-                // unspecified, and the RNG stream must not depend on
-                // the compiler's choice. The second parent draws
-                // first — this pins the stream the historical builds
-                // produced, keeping seeded results comparable.
-                const Individual &p2 = selectParent(island);
-                const Individual &p1 = selectParent(island);
-                // At crossoverRate >= 1.0 the decision draw is
-                // skipped outright, not merely always-true, so the
-                // stream matches builds that predate the knob.
-                const bool do_cross =
-                    options.crossoverRate >= 1.0 ||
-                    island.rng.uniform() < options.crossoverRate;
-                if (do_cross)
-                    child.genome =
-                        crossover(p1.genome, p2.genome, island.rng);
-                else
-                    child.genome = p1.genome;
-                if (island.rng.uniform() < options.mutationRate)
-                    mutate(child.genome, space, island.rng);
-                next_pop.push_back(std::move(child));
-            }
-        }
-
-        for (unsigned k = 0; k < K; ++k)
-            archipelago[k].population = std::move(offspring[k]);
-        timers.breedNs += nsSince(breed0);
-        scoreGeneration();
+        forEachIsland(breedAndScore);
         const auto reduce0 = Clock::now();
         updateGlobalBest();
 
@@ -570,7 +410,6 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     out.valid = tally.valid;
     out.stats = tally.stats;
     out.timers = tally.timers;
-    out.timers.breedNs += timers.breedNs;
     out.timers.reduceNs += timers.reduceNs;
     out.timers.totalNs = nsSince(total0);
     if (best_fitness < kInf) {
@@ -579,9 +418,10 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
         // of Mapping copies, and re-evaluation is deterministic.
         const Mapping mapping = best_genome.materialize(
             space.problem(), space.arch());
-        evaluator.evaluate(mapping, worker_scratch[0]);
+        EvalScratch &scratch = archipelago[0].scratch;
+        evaluator.evaluate(mapping, scratch);
         out.best = mapping;
-        out.bestResult = worker_scratch[0].result;
+        out.bestResult = scratch.result;
     }
     return out;
 }

@@ -63,13 +63,12 @@ struct GeneticOptions
     unsigned migrants = 2;
 
     /**
-     * Worker threads for fitness evaluation (0 = one per hardware
-     * thread). Breeding consumes each island's RNG stream serially;
-     * only the evaluations fan out, and scoring never touches an RNG,
+     * Worker threads (0 = one per hardware thread), capped at the
+     * island count. Each worker claims whole islands and breeds and
+     * scores them; an island's step consumes only its own RNG stream,
      * so results are bit-identical across thread counts for a fixed
-     * (seed, islands) pair. With the incremental engine the fan-out
-     * is one contiguous task per island (finer per-individual tasks
-     * would defeat the engine's base reuse).
+     * (seed, islands) pair. Whole-island tasks also keep the
+     * incremental engine's base reuse intact.
      */
     unsigned threads = 1;
 

@@ -202,24 +202,22 @@ undoMutation(MappingGenome &genome, MutationUndo &undo)
     }
 }
 
-MappingGenome
-crossover(const MappingGenome &a, const MappingGenome &b, Rng &rng)
+void
+crossover(MappingGenome &child, const MappingGenome &other, Rng &rng)
 {
-    RUBY_ASSERT(a.steady.size() == b.steady.size() &&
-                a.perms.size() == b.perms.size());
-    MappingGenome child = a;
+    RUBY_ASSERT(child.steady.size() == other.steady.size() &&
+                child.perms.size() == other.perms.size());
     for (std::size_t d = 0; d < child.steady.size(); ++d)
         if (rng.below(2))
-            child.steady[d] = b.steady[d];
+            child.steady[d] = other.steady[d];
     for (std::size_t l = 0; l < child.perms.size(); ++l) {
         if (rng.below(2))
-            child.perms[l] = b.perms[l];
+            child.perms[l] = other.perms[l];
         if (rng.below(2))
-            child.keep[l] = b.keep[l];
+            child.keep[l] = other.keep[l];
         if (rng.below(2))
-            child.axes[l] = b.axes[l];
+            child.axes[l] = other.axes[l];
     }
-    return child;
 }
 
 } // namespace ruby

@@ -85,11 +85,14 @@ void mutate(MappingGenome &genome, const Mapspace &space, Rng &rng,
 void undoMutation(MappingGenome &genome, MutationUndo &undo);
 
 /**
- * Uniform crossover: child takes each dimension's chain, each level's
- * permutation and each residency/axis row from one of the parents.
+ * Uniform crossover in place: @p child (a copy of the first parent)
+ * takes each dimension's chain, each level's permutation and each
+ * residency/axis row from @p other with probability 1/2. Rows are
+ * copied into existing storage, so a recycled child allocates
+ * nothing.
  */
-MappingGenome crossover(const MappingGenome &a, const MappingGenome &b,
-                        Rng &rng);
+void crossover(MappingGenome &child, const MappingGenome &other,
+               Rng &rng);
 
 } // namespace ruby
 

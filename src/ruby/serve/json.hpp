@@ -1,117 +1,23 @@
 /**
  * @file
- * Minimal JSON value model for the ruby-served wire protocol.
- *
- * Exactness over generality: the daemon must hand back *bit-identical*
- * numbers to an offline run, so numbers are never routed through a
- * lossy double round-trip. The parser stores each number's raw token
- * text; asU64()/asI64() re-parse it as an integer (rejecting tokens
- * that are not exactly an integer) and asDouble() uses
- * std::from_chars. The writer emits integers via std::to_chars and
- * doubles via the shortest round-trip form of std::to_chars, so
- * double -> text -> double is the identity. Objects preserve
- * insertion order; duplicate keys are rejected at parse time.
- *
- * Scope: one protocol line per document (NDJSON). No comments, no
- * trailing garbage, UTF-8 passed through verbatim (\\uXXXX escapes are
- * decoded to UTF-8 on input and non-ASCII bytes are passed through
- * unescaped on output).
+ * The wire protocol's value tree is the library's one value tree
+ * (ruby/io/json.hpp); serve code keeps spelling it serve::JsonValue.
  */
 
 #ifndef RUBY_SERVE_JSON_HPP
 #define RUBY_SERVE_JSON_HPP
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "ruby/io/json.hpp"
 
 namespace ruby
 {
 namespace serve
 {
 
-/** JSON value kinds. */
-enum class JsonType
-{
-    Null,
-    Bool,
-    Number,
-    String,
-    Array,
-    Object,
-};
-
-/**
- * One JSON value (a small tagged tree). Accessors throw ruby::Error
- * with the offending key path's best available context on a type
- * mismatch, so protocol decoding errors surface as structured
- * bad-request responses rather than crashes.
- */
-struct JsonValue
-{
-    JsonType type = JsonType::Null;
-    bool boolean = false;
-    /** Raw number token, e.g. "42", "-1.5e300"; valid iff Number. */
-    std::string number;
-    std::string string; ///< valid iff String
-    std::vector<JsonValue> array;
-    /** Key/value pairs in insertion order; valid iff Object. */
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    // -- constructors ---------------------------------------------------
-    static JsonValue makeNull();
-    static JsonValue makeBool(bool v);
-    static JsonValue makeString(std::string_view v);
-    static JsonValue makeU64(std::uint64_t v);
-    static JsonValue makeI64(std::int64_t v);
-    /** Shortest round-trip form; non-finite values map to +-1e999 /
-     *  null (JSON has no inf/nan) and parse back as +-inf / 0. */
-    static JsonValue makeDouble(double v);
-    static JsonValue makeArray();
-    static JsonValue makeObject();
-
-    // -- builders -------------------------------------------------------
-    /** Append a member to an object (no duplicate check; callers own
-     *  key uniqueness). */
-    JsonValue &set(std::string_view key, JsonValue v);
-    /** Append an element to an array. */
-    JsonValue &push(JsonValue v);
-
-    // -- queries --------------------------------------------------------
-    bool isNull() const { return type == JsonType::Null; }
-
-    /** Object member lookup; nullptr when absent (or not an object). */
-    const JsonValue *find(std::string_view key) const;
-
-    /** Object member that must exist; throws ruby::Error otherwise. */
-    const JsonValue &at(std::string_view key) const;
-
-    // -- typed accessors (throw ruby::Error on mismatch) ---------------
-    bool asBool() const;
-    const std::string &asString() const;
-    std::uint64_t asU64() const;
-    std::int64_t asI64() const;
-    double asDouble() const;
-
-    // -- convenience: optional member with default ----------------------
-    bool getBool(std::string_view key, bool fallback) const;
-    std::uint64_t getU64(std::string_view key,
-                         std::uint64_t fallback) const;
-    std::string getString(std::string_view key,
-                          std::string_view fallback) const;
-};
-
-/**
- * Parse one complete JSON document from @p text (leading/trailing
- * whitespace allowed, nothing else). Throws ruby::Error with a byte
- * offset on malformed input.
- */
-JsonValue parseJson(std::string_view text);
-
-/** Serialize @p value compactly (no whitespace, no trailing newline). */
-std::string writeJson(const JsonValue &value);
+using ruby::JsonType;
+using ruby::JsonValue;
+using ruby::parseJson;
+using ruby::writeJson;
 
 } // namespace serve
 } // namespace ruby

@@ -1,5 +1,7 @@
 #include "ruby/serve/protocol.hpp"
 
+#include <limits>
+
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/error.hpp"
 #include "ruby/io/loaders.hpp"
@@ -12,6 +14,16 @@ namespace serve
 
 namespace
 {
+
+/** Optional count member; values that do not fit `unsigned` fail. */
+unsigned
+getUnsigned(const JsonValue &v, std::string_view key, unsigned fallback)
+{
+    const std::uint64_t n = v.getU64(key, fallback);
+    RUBY_CHECK(n <= std::numeric_limits<unsigned>::max(), "protocol: '",
+               key, "' value ", n, " does not fit in 32 bits");
+    return static_cast<unsigned>(n);
+}
 
 JsonValue
 doubleMatrixToJson(const std::vector<std::vector<double>> &m)
@@ -306,10 +318,8 @@ searchOptionsFromJson(const JsonValue &v)
         v.getU64("terminationStreak", o.terminationStreak);
     o.maxEvaluations = v.getU64("maxEvaluations", o.maxEvaluations);
     o.seed = v.getU64("seed", o.seed);
-    o.threads =
-        static_cast<unsigned>(v.getU64("threads", o.threads));
-    o.restarts =
-        static_cast<unsigned>(v.getU64("restarts", o.restarts));
+    o.threads = getUnsigned(v, "threads", o.threads);
+    o.restarts = getUnsigned(v, "restarts", o.restarts);
     o.timeBudget = std::chrono::milliseconds(
         v.getU64("timeBudgetMs",
                  static_cast<std::uint64_t>(o.timeBudget.count())));
@@ -318,12 +328,10 @@ searchOptionsFromJson(const JsonValue &v)
         static_cast<std::uint64_t>(o.networkTimeBudget.count())));
     o.recordTrajectory =
         v.getBool("recordTrajectory", o.recordTrajectory);
-    o.refineSteps = static_cast<unsigned>(
-        v.getU64("refineSteps", o.refineSteps));
-    o.islands =
-        static_cast<unsigned>(v.getU64("islands", o.islands));
-    o.networkThreads = static_cast<unsigned>(
-        v.getU64("networkThreads", o.networkThreads));
+    o.refineSteps = getUnsigned(v, "refineSteps", o.refineSteps);
+    o.islands = getUnsigned(v, "islands", o.islands);
+    o.networkThreads =
+        getUnsigned(v, "networkThreads", o.networkThreads);
     o.layerMemo = v.getBool("layerMemo", o.layerMemo);
     return o;
 }

@@ -34,7 +34,7 @@ architecture:
 
 TEST(Loaders, ArchitectureMatchesPreset)
 {
-    const ConfigNode root = ConfigNode::parse(kEyerissDoc);
+    const JsonValue root = parseYaml(kEyerissDoc);
     const ArchSpec arch = loadArchSpec(root);
     const ArchSpec preset = makeEyeriss();
     EXPECT_EQ(arch.name(), "eyeriss-from-config");
@@ -51,7 +51,7 @@ TEST(Loaders, ArchitectureMatchesPreset)
 
 TEST(Loaders, ConvWorkload)
 {
-    const ConfigNode root = ConfigNode::parse(R"(
+    const JsonValue root = parseYaml(R"(
 workload:
   type: conv
   name: test_layer
@@ -73,10 +73,10 @@ workload:
 
 TEST(Loaders, GemmAndVectorWorkloads)
 {
-    const Problem gemm = loadProblem(ConfigNode::parse(
+    const Problem gemm = loadProblem(parseYaml(
         "workload:\n  type: gemm\n  m: 8\n  n: 9\n  k: 10\n"));
     EXPECT_EQ(gemm.totalOperations(), 720u);
-    const Problem vec = loadProblem(ConfigNode::parse(
+    const Problem vec = loadProblem(parseYaml(
         "workload:\n  type: vector\n  d: 127\n"));
     EXPECT_EQ(vec.totalOperations(), 127u);
 }
@@ -84,11 +84,11 @@ TEST(Loaders, GemmAndVectorWorkloads)
 TEST(Loaders, MapperConfigDefaultsAndOverrides)
 {
     const MapperConfig dflt =
-        loadMapperConfig(ConfigNode::parse("a: 1\n"));
+        loadMapperConfig(parseYaml("a: 1\n"));
     EXPECT_EQ(dflt.variant, MapspaceVariant::RubyS);
     EXPECT_EQ(dflt.preset, ConstraintPreset::None);
 
-    const MapperConfig cfg = loadMapperConfig(ConfigNode::parse(R"(
+    const MapperConfig cfg = loadMapperConfig(parseYaml(R"(
 mapper:
   mapspace: ruby-t
   objective: delay
@@ -133,7 +133,7 @@ mapper:
 TEST(Loaders, RejectsBadDocuments)
 {
     // Backing store not last.
-    EXPECT_THROW(loadArchSpec(ConfigNode::parse(R"(
+    EXPECT_THROW(loadArchSpec(parseYaml(R"(
 architecture:
   levels:
     - name: DRAM
@@ -143,7 +143,7 @@ architecture:
 )")),
                  Error);
     // Unknown workload type.
-    EXPECT_THROW(loadProblem(ConfigNode::parse(
+    EXPECT_THROW(loadProblem(parseYaml(
                      "workload:\n  type: fft\n")),
                  Error);
     // Unknown enum values.
@@ -152,6 +152,34 @@ architecture:
     EXPECT_THROW(parsePreset("tpu"), Error);
     // Missing required sections.
     EXPECT_THROW(loadMapper("mapper:\n  mapspace: pfm\n"), Error);
+}
+
+TEST(Loaders, OptionalSectionsMustHaveTheirShape)
+{
+    // A mapper section that is not a map (a scalar, a list, or a bare
+    // key whose settings lost their indentation) must not fall back to
+    // every default.
+    for (const char *doc :
+         {"mapper: ruby-t\n", "mapper: [a]\n", "mapper:\nseed: 7\n"}) {
+        try {
+            loadMapperConfig(parseYaml(doc));
+            ADD_FAILURE() << "accepted: " << doc;
+        } catch (const Error &e) {
+            EXPECT_STREQ(e.what(), "config line 1: expected a map") << doc;
+        }
+    }
+    try {
+        loadArchSpec(parseYaml(R"(
+architecture:
+  levels:
+    - name: RF
+      per_tensor_capacity: 64
+    - name: DRAM
+)"));
+        ADD_FAILURE() << "accepted a scalar per_tensor_capacity";
+    } catch (const Error &e) {
+        EXPECT_STREQ(e.what(), "config line 5: expected a sequence");
+    }
 }
 
 TEST(Report, YamlRoundTripsThroughParser)
@@ -169,13 +197,24 @@ TEST(Report, YamlRoundTripsThroughParser)
 
     std::ostringstream oss;
     writeResultYaml(oss, prob, arch, res);
-    const ConfigNode parsed = ConfigNode::parse(oss.str());
-    const ConfigNode &r = parsed.at("result");
+    const JsonValue parsed = parseYaml(oss.str());
+    const JsonValue &r = parsed.at("result");
     EXPECT_EQ(r.at("macs").asU64(), 100u);
     EXPECT_TRUE(r.at("valid").asBool());
-    EXPECT_EQ(r.at("levels").size(), 3u);
-    EXPECT_EQ(r.at("levels")[0].at("tensors").size(), 2u);
+    EXPECT_EQ(r.at("levels").array.size(), 3u);
+    EXPECT_EQ(r.at("levels").array[0].at("tensors").array.size(), 2u);
     EXPECT_NEAR(r.at("edp").asDouble(), res.edp, 1e-6 * res.edp);
+    // Every metric parses back as a Number node, not a string.
+    for (const char *metric :
+         {"macs", "energy_pj", "cycles", "edp", "utilization"})
+        EXPECT_EQ(r.at(metric).type, JsonType::Number) << metric;
+    for (const JsonValue &level : r.at("levels").array) {
+        EXPECT_EQ(level.at("energy_pj").type, JsonType::Number);
+        for (const JsonValue &tensor : level.at("tensors").array) {
+            EXPECT_EQ(tensor.at("reads").type, JsonType::Number);
+            EXPECT_EQ(tensor.at("writes").type, JsonType::Number);
+        }
+    }
 }
 
 TEST(Report, HumanReadableReportMentionsEverything)

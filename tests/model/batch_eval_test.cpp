@@ -20,7 +20,6 @@
 #include "ruby/search/driver.hpp"
 #include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
-#include "ruby/search/genetic_search.hpp"
 #include "ruby/search/genome.hpp"
 #include "ruby/search/random_search.hpp"
 #include "ruby/workload/conv.hpp"
@@ -383,67 +382,6 @@ TEST(BatchEval, ExhaustiveParityEyeriss)
 TEST(BatchEval, ExhaustiveParitySimba)
 {
     exhaustiveBatchParity(makeSimba(), ConstraintPreset::Simba);
-}
-
-void
-geneticBatchParity(bool incremental)
-{
-    const Problem prob = makeVector1D(100);
-    const ArchSpec arch = makeToyLinear(9);
-    const MappingConstraints cons(prob, arch);
-    const Mapspace space(cons, MapspaceVariant::RubyS);
-    const Evaluator eval(prob, arch);
-
-    GeneticOptions opts;
-    opts.populationSize = 16;
-    opts.generations = 8;
-    opts.islands = 2;
-    opts.threads = 1;
-    const ScopedEngines delta(Engines{true, true, incremental});
-    const SearchResult a = withoutBatch(
-        [&] { return geneticSearch(space, eval, opts); });
-    const SearchResult b = geneticSearch(space, eval, opts);
-
-    EXPECT_EQ(a.evaluated, b.evaluated);
-    EXPECT_EQ(a.valid, b.valid);
-    EXPECT_EQ(a.stats.invalid, b.stats.invalid);
-    EXPECT_EQ(a.stats.modeled, b.stats.modeled);
-    ASSERT_EQ(a.best.has_value(), b.best.has_value());
-    if (a.best) {
-        EXPECT_EQ(a.bestResult.edp, b.bestResult.edp);
-        EXPECT_EQ(a.best->toString(), b.best->toString());
-    }
-    expectStatsPartition(a.stats, a.evaluated);
-    expectStatsPartition(b.stats, b.evaluated);
-    // The initial population is always bulk-scored through the batch
-    // engine; bred generations join it when the delta engine is off.
-    EXPECT_GT(b.stats.batchCalls, 0u);
-    if (!incremental) {
-        EXPECT_EQ(b.stats.batchedEvals, b.evaluated);
-    }
-
-    // And across thread counts the batched path stays bit-identical,
-    // like the scalar path.
-    GeneticOptions threaded = opts;
-    threaded.threads = 4;
-    const SearchResult c = geneticSearch(space, eval, threaded);
-    EXPECT_EQ(b.evaluated, c.evaluated);
-    EXPECT_EQ(b.stats.modeled, c.stats.modeled);
-    EXPECT_EQ(b.stats.batchedEvals, c.stats.batchedEvals);
-    ASSERT_EQ(b.best.has_value(), c.best.has_value());
-    if (b.best) {
-        EXPECT_EQ(b.best->toString(), c.best->toString());
-    }
-}
-
-TEST(BatchEval, GeneticParityClassicScoring)
-{
-    geneticBatchParity(/*incremental=*/false);
-}
-
-TEST(BatchEval, GeneticParityWithDeltaEngine)
-{
-    geneticBatchParity(/*incremental=*/true);
 }
 
 } // namespace

@@ -11,8 +11,13 @@
  *   wire     — the in-process server storm of wire_fuzz.hpp under a
  *              wall-clock budget, including the admission-slot leak
  *              check.
+ *   yaml     — mutated tools/configs texts and random block/flow
+ *              trees through parseYaml and the loaders (the daemon's
+ *              path for a map request's config): each must load or
+ *              throw ruby::Error, parse to a tree that writes valid
+ *              JSON, and finish promptly.
  *
- * Usage: ruby-pbt-fuzz --mode codec|protocol|wire
+ * Usage: ruby-pbt-fuzz --mode codec|protocol|wire|yaml
  *                      [--budget-ms N] [--seed S] [--replay FILE]
  *
  * Every failure prints the case seed; rerunning with --seed <that
@@ -28,13 +33,20 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fuzz_frames.hpp"
+#include "fuzz_yaml.hpp"
 #include "pbt.hpp"
 #include "ruby/common/error.hpp"
+#include "ruby/io/loaders.hpp"
 #include "ruby/serve/json.hpp"
 #include "ruby/serve/protocol.hpp"
 #include "wire_fuzz.hpp"
+
+#ifndef RUBY_CONFIGS_DIR
+#error "RUBY_CONFIGS_DIR must point at tools/configs"
+#endif
 
 namespace
 {
@@ -54,7 +66,7 @@ struct FuzzArgs
 int
 usage()
 {
-    std::cerr << "usage: ruby-pbt-fuzz --mode codec|protocol|wire "
+    std::cerr << "usage: ruby-pbt-fuzz --mode codec|protocol|wire|yaml "
                  "[--budget-ms N] [--seed S] [--replay FILE] "
                  "[--fleet]\n";
     return 2;
@@ -105,10 +117,64 @@ protocolCase(std::uint64_t caseSeed)
     return std::nullopt;
 }
 
+/** The shipped example configs: the YAML mode's mutation seeds. */
+const std::vector<std::string> &
+shippedConfigs()
+{
+    static const std::vector<std::string> texts = [] {
+        std::vector<std::string> out;
+        for (const char *name : {"tutorial.yaml", "simba.yaml"}) {
+            std::ifstream in(std::string(RUBY_CONFIGS_DIR) + "/" + name);
+            std::ostringstream text;
+            text << in.rdbuf();
+            out.push_back(text.str());
+        }
+        return out;
+    }();
+    return texts;
+}
+
+/**
+ * One YAML case: a mutated shipped config or a random tree, through
+ * parseYaml and loadMapper. Only ruby::Error may escape; a parsed
+ * tree must write JSON that parseJson reads back to the same bytes
+ * (so every YAML Number holds a valid number token); no case may
+ * take more than a few seconds.
+ */
+std::optional<std::string>
+yamlCase(std::uint64_t caseSeed)
+{
+    Rng rng(caseSeed);
+    const std::vector<std::string> &configs = shippedConfigs();
+    const std::string &seed = configs[rng.below(configs.size())];
+    const std::string &other = configs[rng.below(configs.size())];
+    const std::string text = rng.below(4) == 0
+                                 ? pbt::genYamlTree(rng)
+                                 : pbt::mutateConfig(rng, seed, other);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        const std::string once = writeJson(parseYaml(text));
+        const std::string twice = writeJson(parseJson(once));
+        if (twice != once)
+            return "YAML tree does not round-trip through JSON:\n  "
+                   "once:  " +
+                   once + "\n  twice: " + twice;
+        (void)loadMapper(text);
+    } catch (const Error &) {
+        // Structured rejection is the expected path.
+    }
+    if (std::chrono::steady_clock::now() - start >
+        std::chrono::seconds(5))
+        return "case took over 5 s (hang?) on:\n" + text;
+    return std::nullopt;
+}
+
 int
 runGenerated(const FuzzArgs &args)
 {
-    auto runCase = args.mode == "codec" ? codecCase : protocolCase;
+    auto runCase = args.mode == "codec"      ? codecCase
+                   : args.mode == "protocol" ? protocolCase
+                                             : yamlCase;
     const auto startedAt = std::chrono::steady_clock::now();
     std::uint64_t cases = 0;
     for (std::uint64_t i = 0;; ++i) {
@@ -237,7 +303,8 @@ main(int argc, char **argv)
     }
     if (!args.replayFile.empty())
         return runReplay(args.replayFile);
-    if (args.mode == "codec" || args.mode == "protocol")
+    if (args.mode == "codec" || args.mode == "protocol" ||
+        args.mode == "yaml")
         return runGenerated(args);
     if (args.mode == "wire")
         return runWire(args);

@@ -91,7 +91,8 @@ TEST(Genome, CrossoverMixesParents)
     const MappingGenome b = extractGenome(fx.space.sample(fx.rng));
     bool saw_a = false, saw_b = false;
     for (int i = 0; i < 50; ++i) {
-        const MappingGenome child = crossover(a, b, fx.rng);
+        MappingGenome child = a;
+        crossover(child, b, fx.rng);
         EXPECT_NO_THROW(child.materialize(fx.prob, fx.arch));
         for (std::size_t d = 0; d < child.steady.size(); ++d) {
             if (child.steady[d] == a.steady[d])

@@ -22,6 +22,7 @@
 #include "ruby/common/incumbent.hpp"
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/search/driver.hpp"
+#include "ruby/search/engines.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/local_search.hpp"
@@ -124,18 +125,26 @@ TEST(ParallelSearch, GeneticIslandParityAcrossThreadCounts)
     GeneticOptions parallel = serial;
     parallel.threads = 4;
 
-    const SearchResult a = geneticSearch(space, eval, serial);
-    const SearchResult b = geneticSearch(space, eval, parallel);
+    // Breeding and scoring run in per-island tasks on both scoring
+    // paths: the delta engine's and member-by-member classic scoring.
+    for (const bool incremental : {true, false}) {
+        SCOPED_TRACE(incremental ? "delta engine" : "classic scoring");
+        const ScopedEngines engines(Engines{true, true, incremental});
+        const SearchResult a = geneticSearch(space, eval, serial);
+        const SearchResult b = geneticSearch(space, eval, parallel);
 
-    EXPECT_EQ(a.evaluated, b.evaluated);
-    EXPECT_EQ(a.valid, b.valid);
-    EXPECT_EQ(a.stats.invalid, b.stats.invalid);
-    EXPECT_EQ(a.stats.modeled, b.stats.modeled);
-    expectStatsPartition(a.stats, a.evaluated);
-    ASSERT_EQ(a.best.has_value(), b.best.has_value());
-    if (a.best) {
-        EXPECT_EQ(a.bestResult.edp, b.bestResult.edp);
-        EXPECT_EQ(a.best->toString(), b.best->toString());
+        EXPECT_EQ(a.evaluated, b.evaluated);
+        EXPECT_EQ(a.valid, b.valid);
+        EXPECT_EQ(a.stats.invalid, b.stats.invalid);
+        EXPECT_EQ(a.stats.modeled, b.stats.modeled);
+        EXPECT_EQ(a.stats.deltaAttempts, b.stats.deltaAttempts);
+        EXPECT_EQ(a.stats.deltaAttempts > 0, incremental);
+        expectStatsPartition(a.stats, a.evaluated);
+        ASSERT_EQ(a.best.has_value(), b.best.has_value());
+        if (a.best) {
+            EXPECT_EQ(a.bestResult.edp, b.bestResult.edp);
+            EXPECT_EQ(a.best->toString(), b.best->toString());
+        }
     }
 }
 

@@ -310,6 +310,24 @@ TEST(ServeProtocol, RejectsBadRequests)
         parseRequest(parseJson(R"({"v":1,"type":"net"})")), Error);
 }
 
+TEST(ServeProtocol, CountsThatDoNotFitUnsignedAreRejected)
+{
+    // 2^32 + 1 must not narrow to 1 (and share threads=1's cache key).
+    for (const char *key : {"threads", "restarts", "refineSteps",
+                            "islands", "networkThreads"}) {
+        SCOPED_TRACE(key);
+        const std::string field = std::string("{\"") + key + "\":";
+        EXPECT_THROW(searchOptionsFromJson(parseJson(field + "4294967297}")),
+                     Error);
+        EXPECT_NO_THROW(
+            searchOptionsFromJson(parseJson(field + "4294967295}")));
+    }
+    EXPECT_THROW(parseRequest(parseJson(
+                     R"({"v":1,"type":"map","config":"a: 1",)"
+                     R"("search":{"threads":4294967297}})")),
+                 Error);
+}
+
 TEST(ServeProtocol, ResponseEnvelopes)
 {
     const JsonValue ok = makeResponse("pong", "id7", kCodeOk);

@@ -71,10 +71,12 @@
  * Unknown flags on any subcommand exit 2 with the usage text.
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -167,14 +169,35 @@ usage()
     return kExitUsage;
 }
 
+/** The value tree's integer rule: all digits, no sign, no overflow. */
 std::uint64_t
 parseU64Arg(const std::string &flag, const std::string &value)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        RUBY_FATAL(flag, ": '", value, "' is not an integer");
-    return static_cast<std::uint64_t>(v);
+    std::uint64_t v = 0;
+    const char *last = value.data() + value.size();
+    const auto res = std::from_chars(value.data(), last, v);
+    RUBY_CHECK(res.ec == std::errc() && res.ptr == last, flag, ": '",
+               value, "' is not an unsigned 64-bit integer");
+    return v;
+}
+
+/** A count flag (threads, islands, ...): must fit `unsigned`. */
+unsigned
+parseUnsignedArg(const std::string &flag, const std::string &value)
+{
+    const std::uint64_t v = parseU64Arg(flag, value);
+    RUBY_CHECK(v <= std::numeric_limits<unsigned>::max(), flag, ": ",
+               v, " does not fit in 32 bits");
+    return static_cast<unsigned>(v);
+}
+
+/** A TCP port flag: 0..65535. */
+int
+parsePortArg(const std::string &flag, const std::string &value)
+{
+    const std::uint64_t v = parseU64Arg(flag, value);
+    RUBY_CHECK(v <= 65535, flag, ": port ", v, " out of range");
+    return static_cast<int>(v);
 }
 
 /** Map a failed layer/mapper outcome to the process exit code. */
@@ -217,11 +240,9 @@ applySearchFlag(const std::string &flag, SearchOptions &search,
     else if (flag == "--seed")
         search.seed = parseU64Arg(flag, next());
     else if (flag == "--threads")
-        search.threads =
-            static_cast<unsigned>(parseU64Arg(flag, next()));
+        search.threads = parseUnsignedArg(flag, next());
     else if (flag == "--restarts")
-        search.restarts =
-            static_cast<unsigned>(parseU64Arg(flag, next()));
+        search.restarts = parseUnsignedArg(flag, next());
     else if (flag == "--time-budget")
         search.timeBudget =
             std::chrono::milliseconds(parseU64Arg(flag, next()));
@@ -243,11 +264,9 @@ applySearchFlag(const std::string &flag, SearchOptions &search,
         }
     }
     else if (flag == "--islands")
-        search.islands =
-            static_cast<unsigned>(parseU64Arg(flag, next()));
+        search.islands = parseUnsignedArg(flag, next());
     else if (flag == "--net-threads")
-        search.networkThreads =
-            static_cast<unsigned>(parseU64Arg(flag, next()));
+        search.networkThreads = parseUnsignedArg(flag, next());
     else if (flag == "--layer-memo")
         search.layerMemo = true;
     else if (flag == "--no-layer-memo")
@@ -538,7 +557,7 @@ parseFrontDoorFlag(const std::string &flag, Next &&next,
     else if (flag == "--host")
         options.host = next();
     else if (flag == "--port")
-        options.port = static_cast<int>(parseU64Arg(flag, next()));
+        options.port = parsePortArg(flag, next());
     else if (flag == "--queue-capacity")
         options.queueCapacity =
             static_cast<std::size_t>(parseU64Arg(flag, next()));
@@ -569,8 +588,7 @@ runServe(const std::vector<std::string> &args)
         if (parseFrontDoorFlag(flag, next, options))
             continue;
         if (flag == "--max-inflight")
-            options.maxInflight =
-                static_cast<unsigned>(parseU64Arg(flag, next()));
+            options.maxInflight = parseUnsignedArg(flag, next());
         else
             unknownFlag(flag);
     }
@@ -602,9 +620,8 @@ parseBackendSpec(const std::string &spec)
                          spec + "'");
     if (colon > 0)
         endpoint.host = spec.substr(0, colon);
-    endpoint.port = static_cast<int>(
-        parseU64Arg("--backend", spec.substr(colon + 1)));
-    RUBY_CHECK(endpoint.port > 0 && endpoint.port < 65536,
+    endpoint.port = parsePortArg("--backend", spec.substr(colon + 1));
+    RUBY_CHECK(endpoint.port > 0,
                "--backend: port out of range in '", spec, "'");
     return endpoint;
 }
@@ -625,8 +642,7 @@ runRoute(const std::vector<std::string> &args)
         if (flag == "--backend")
             options.backends.push_back(parseBackendSpec(next()));
         else if (flag == "--replicas")
-            options.replicas =
-                static_cast<unsigned>(parseU64Arg(flag, next()));
+            options.replicas = parseUnsignedArg(flag, next());
         else if (flag == "--load-factor") {
             const std::string &value = next();
             char *end = nullptr;
@@ -637,11 +653,10 @@ runRoute(const std::vector<std::string> &args)
             options.healthInterval =
                 std::chrono::milliseconds(parseU64Arg(flag, next()));
         else if (flag == "--forwarders")
-            options.maxForwards =
-                static_cast<unsigned>(parseU64Arg(flag, next()));
+            options.maxForwards = parseUnsignedArg(flag, next());
         else if (flag == "--retry") {
             options.retry.attempts =
-                static_cast<int>(parseU64Arg(flag, next()));
+                static_cast<int>(parseUnsignedArg(flag, next()));
             RUBY_CHECK(options.retry.attempts >= 1,
                        "--retry: need at least one attempt");
         } else if (flag == "--retry-budget")
@@ -692,12 +707,11 @@ parseRemoteConn(const std::vector<std::string> &args, std::size_t &i)
         } else if (flag == "--host") {
             conn.endpoint.host = next();
         } else if (flag == "--port") {
-            conn.endpoint.port =
-                static_cast<int>(parseU64Arg(flag, next()));
+            conn.endpoint.port = parsePortArg(flag, next());
             endpointGiven = true;
         } else if (flag == "--retry") {
             conn.retry.attempts = static_cast<int>(
-                parseU64Arg(flag, next()));
+                parseUnsignedArg(flag, next()));
             RUBY_CHECK(conn.retry.attempts >= 1,
                        "--retry: need at least one attempt");
         } else if (flag == "--retry-budget") {
