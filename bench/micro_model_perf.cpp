@@ -56,8 +56,27 @@ eyeriss()
     return arch;
 }
 
+/** One draw as the searches make it: a refill of a reused Mapping. */
 void
 BM_SampleMapping(benchmark::State &state)
+{
+    const MappingConstraints cons =
+        MappingConstraints::eyerissRowStationary(resnetLayer(),
+                                                 eyeriss());
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    Rng rng(1);
+    SampleScratch scratch;
+    Mapping mapping = space.sample(rng);
+    for (auto _ : state) {
+        space.sample(rng, mapping, scratch);
+        benchmark::DoNotOptimize(mapping);
+    }
+}
+BENCHMARK(BM_SampleMapping);
+
+/** One one-off draw: a fresh scratch and a newly built Mapping. */
+void
+BM_SampleFreshMapping(benchmark::State &state)
 {
     const MappingConstraints cons =
         MappingConstraints::eyerissRowStationary(resnetLayer(),
@@ -67,7 +86,7 @@ BM_SampleMapping(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(space.sample(rng));
 }
-BENCHMARK(BM_SampleMapping);
+BENCHMARK(BM_SampleFreshMapping);
 
 void
 BM_EvaluateMapping(benchmark::State &state)

@@ -68,18 +68,6 @@ MappingConstraints::spatialAllowed(int level, DimId d) const
 }
 
 bool
-MappingConstraints::spatialAllowed(int level, DimId d,
-                                   SpatialAxis axis) const
-{
-    RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
-    RUBY_ASSERT(d >= 0 && d < problem_->numDims());
-    const auto &allowed = spatial_allowed_[static_cast<int>(axis)]
-                                          [static_cast<std::size_t>(
-                                              level)];
-    return allowed.empty() || allowed[static_cast<std::size_t>(d)] != 0;
-}
-
-bool
 MappingConstraints::admits(const Mapping &mapping) const
 {
     for (int l = 0; l < arch_->numLevels(); ++l) {
@@ -94,15 +82,6 @@ MappingConstraints::admits(const Mapping &mapping) const
                 return false;
     }
     return true;
-}
-
-bool
-MappingConstraints::bypassForced(int level, int tensor) const
-{
-    RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
-    RUBY_ASSERT(tensor >= 0 && tensor < problem_->numTensors());
-    return forced_bypass_[static_cast<std::size_t>(level)]
-                         [static_cast<std::size_t>(tensor)] != 0;
 }
 
 MappingConstraints

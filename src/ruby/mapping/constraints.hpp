@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ruby/arch/arch_spec.hpp"
+#include "ruby/common/error.hpp"
 #include "ruby/mapping/mapping.hpp"
 #include "ruby/workload/problem.hpp"
 
@@ -57,11 +58,27 @@ class MappingConstraints
     /** May dimension d use level l's spatial slot on any axis? */
     bool spatialAllowed(int level, DimId d) const;
 
-    /** May dimension d use axis @p axis of level l's fanout? */
-    bool spatialAllowed(int level, DimId d, SpatialAxis axis) const;
+    /** May dimension d use axis @p axis of level l's fanout? Inline:
+     *  the sampler asks it per dimension and spatial slot. */
+    bool spatialAllowed(int level, DimId d, SpatialAxis axis) const
+    {
+        RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
+        RUBY_ASSERT(d >= 0 && d < problem_->numDims());
+        const auto &allowed = spatial_allowed_[static_cast<int>(axis)]
+                                              [static_cast<std::size_t>(
+                                                  level)];
+        return allowed.empty() ||
+               allowed[static_cast<std::size_t>(d)] != 0;
+    }
 
     /** Must tensor t bypass level l? */
-    bool bypassForced(int level, int tensor) const;
+    bool bypassForced(int level, int tensor) const
+    {
+        RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
+        RUBY_ASSERT(tensor >= 0 && tensor < problem_->numTensors());
+        return forced_bypass_[static_cast<std::size_t>(level)]
+                             [static_cast<std::size_t>(tensor)] != 0;
+    }
 
     /** True iff @p mapping obeys every constraint. */
     bool admits(const Mapping &mapping) const;

@@ -41,8 +41,13 @@ FactorChain::assign(const std::vector<std::uint64_t> &steady)
     std::uint64_t extent = 1;
     for (std::size_t k = 0; k < steady.size(); ++k) {
         RUBY_ASSERT(steady[k] >= 1, "steady bound must be positive");
-        factors_[k] = FactorPair{steady[k], q % steady[k] + 1};
-        q /= steady[k];
+        // Most slots of a sampled chain are 1: skip their division.
+        if (steady[k] == 1) {
+            factors_[k] = FactorPair{1, 1};
+        } else {
+            factors_[k] = FactorPair{steady[k], q % steady[k] + 1};
+            q /= steady[k];
+        }
         extents_[k] = extent;
         extent *= steady[k];
     }

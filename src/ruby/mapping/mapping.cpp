@@ -1,12 +1,47 @@
 #include "ruby/mapping/mapping.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "ruby/common/error.hpp"
 
 namespace ruby
 {
+
+namespace
+{
+
+/** True iff @p perm holds each of the @p nd dimensions exactly once.
+ *  Allocation-free, so the refill mutators can run it per draw. */
+bool
+coversEveryDimOnce(const std::vector<DimId> &perm, int nd)
+{
+    if (static_cast<int>(perm.size()) != nd)
+        return false;
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+        if (perm[i] < 0 || perm[i] >= nd)
+            return false;
+        for (std::size_t j = 0; j < i; ++j)
+            if (perm[j] == perm[i])
+                return false;
+    }
+    return true;
+}
+
+/** The innermost and outermost levels must keep every tensor. */
+void
+checkBoundaryKeep(int level, int nl, const std::vector<char> &keep)
+{
+    const char *which = level == 0        ? "innermost"
+                        : level == nl - 1 ? "outermost"
+                                          : nullptr;
+    if (which == nullptr)
+        return;
+    for (char k : keep)
+        RUBY_CHECK(k, which, " level must keep every tensor");
+}
+
+} // namespace
 
 Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
                  const std::vector<std::vector<std::uint64_t>> &steady,
@@ -34,15 +69,11 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
 
     RUBY_CHECK(static_cast<int>(perms_.size()) == nl,
                "mapping needs one permutation per level");
-    for (int l = 0; l < nl; ++l) {
-        auto sorted = perms_[static_cast<std::size_t>(l)];
-        std::sort(sorted.begin(), sorted.end());
-        bool ok = static_cast<int>(sorted.size()) == nd;
-        for (DimId d = 0; ok && d < nd; ++d)
-            ok = sorted[static_cast<std::size_t>(d)] == d;
-        RUBY_CHECK(ok, "level ", arch.level(l).name,
+    for (int l = 0; l < nl; ++l)
+        RUBY_CHECK(coversEveryDimOnce(perms_[static_cast<std::size_t>(l)],
+                                      nd),
+                   "level ", arch.level(l).name,
                    ": permutation must cover every dimension once");
-    }
 
     RUBY_CHECK(static_cast<int>(keep_.size()) == nl,
                "mapping needs keep flags per level");
@@ -176,6 +207,9 @@ void
 Mapping::setChain(DimId d, const std::vector<std::uint64_t> &steady)
 {
     RUBY_ASSERT(d >= 0 && d < problem_->numDims());
+    RUBY_CHECK(steady.size() == static_cast<std::size_t>(numSlots()),
+               "dimension ", problem_->dimName(d), ": chain must have ",
+               numSlots(), " slots");
     chains_[static_cast<std::size_t>(d)].assign(steady);
 }
 
@@ -183,8 +217,9 @@ void
 Mapping::setPermutation(int level, const std::vector<DimId> &perm)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
-    RUBY_ASSERT(static_cast<int>(perm.size()) == problem_->numDims(),
-                "permutation must cover every dimension once");
+    RUBY_CHECK(coversEveryDimOnce(perm, problem_->numDims()),
+               "level ", arch_->level(level).name,
+               ": permutation must cover every dimension once");
     perms_[static_cast<std::size_t>(level)] = perm;
 }
 
@@ -192,14 +227,10 @@ void
 Mapping::setKeepRow(int level, const std::vector<char> &keep)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
-    RUBY_ASSERT(static_cast<int>(keep.size()) ==
-                    problem_->numTensors(),
-                "keep flags must cover every tensor");
-#ifndef NDEBUG
-    if (level == 0 || level == arch_->numLevels() - 1)
-        for (char k : keep)
-            RUBY_ASSERT(k, "boundary levels must keep every tensor");
-#endif
+    RUBY_CHECK(static_cast<int>(keep.size()) == problem_->numTensors(),
+               "level ", arch_->level(level).name,
+               ": keep flags must cover every tensor");
+    checkBoundaryKeep(level, arch_->numLevels(), keep);
     keep_[static_cast<std::size_t>(level)] = keep;
     const int nt = problem_->numTensors();
     if (arch_->numLevels() * nt <= 64) {
@@ -219,8 +250,8 @@ void
 Mapping::setAxisRow(int level, const std::vector<SpatialAxis> &axes)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
-    RUBY_ASSERT(static_cast<int>(axes.size()) == problem_->numDims(),
-                "spatial axes must cover every dimension");
+    RUBY_CHECK(static_cast<int>(axes.size()) == problem_->numDims(),
+               "spatial axes must cover every dimension");
     if (axes_.empty())
         axes_.assign(static_cast<std::size_t>(arch_->numLevels()),
                      std::vector<SpatialAxis>(

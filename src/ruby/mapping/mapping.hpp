@@ -30,10 +30,12 @@ enum class SpatialAxis : char
 /**
  * A complete mapping of @c Problem onto @c ArchSpec.
  *
- * Mappings are immutable to every consumer except the incremental
- * evaluator, which edits whole components in place through the
- * set*() mutators below — each preserves every construction
- * invariant and performs no heap allocation, so a search can morph
+ * Mappings are immutable to every consumer except the code that
+ * refills them — the incremental evaluator, the sampler
+ * (Mapspace::sample into a caller-owned mapping) and the complete
+ * searches — which edit whole components in place through the set*()
+ * mutators below. Each mutator runs the constructor's checks for its
+ * component and performs no heap allocation, so a search can morph
  * one mapping through thousands of candidates without rebuilding it.
  *
  * The referenced problem and architecture must outlive the mapping.
@@ -156,7 +158,10 @@ class Mapping
      */
     void setChain(DimId d, const std::vector<std::uint64_t> &steady);
 
-    /** Replace level @p level's temporal loop order in place. */
+    /**
+     * Replace level @p level's temporal loop order in place; it must
+     * cover every dimension once.
+     */
     void setPermutation(int level, const std::vector<DimId> &perm);
 
     /**

@@ -88,4 +88,33 @@ ExhaustiveIndexSpace::chunkSizeFor(std::uint64_t limit,
     return std::clamp<std::uint64_t>(target, floor_chunk, 16'384);
 }
 
+Mapping
+candidateBuffer(const Problem &problem, const ArchSpec &arch,
+                const ChainTable &chains,
+                const std::vector<std::vector<DimId>> &perm_set,
+                const std::vector<std::vector<char>> &keep)
+{
+    std::vector<std::vector<std::uint64_t>> steady;
+    for (const auto &dim_chains : chains)
+        steady.push_back(dim_chains.front());
+    return Mapping(problem, arch, steady,
+                   std::vector<std::vector<DimId>>(
+                       static_cast<std::size_t>(arch.numLevels()),
+                       perm_set.front()),
+                   keep);
+}
+
+void
+refillCandidate(const ChainTable &chains,
+                const std::vector<std::vector<DimId>> &perm_set,
+                const std::vector<std::size_t> &pick,
+                const std::vector<std::size_t> &perm_pick,
+                Mapping &mapping)
+{
+    for (std::size_t d = 0; d < pick.size(); ++d)
+        mapping.setChain(static_cast<DimId>(d), chains[d][pick[d]]);
+    for (std::size_t l = 0; l < perm_pick.size(); ++l)
+        mapping.setPermutation(static_cast<int>(l), perm_set[perm_pick[l]]);
+}
+
 } // namespace ruby

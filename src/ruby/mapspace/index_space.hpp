@@ -12,6 +12,9 @@
  * 0 innermost) — so "the first N mappings" means the same thing for
  * the serial and sharded searches, and truncation by maxEvaluations
  * stays bit-identical across thread counts.
+ *
+ * candidateBuffer() and refillCandidate() turn decoded picks into a
+ * Mapping that a worker rewrites in place for every candidate.
  */
 
 #ifndef RUBY_MAPSPACE_INDEX_SPACE_HPP
@@ -19,6 +22,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "ruby/mapping/mapping.hpp"
 
 namespace ruby
 {
@@ -70,6 +75,30 @@ class ExhaustiveIndexSpace
     std::uint64_t size_ = 0;
     bool saturated_ = false;
 };
+
+/** Enumerated steady chains: chains[d][c] is chain c of dimension d. */
+using ChainTable = std::vector<std::vector<std::vector<std::uint64_t>>>;
+
+/**
+ * A candidate mapping for refillCandidate() to rewrite: chain 0 of
+ * every dimension and permutation 0 at every level, with @p keep
+ * residency and every spatial factor on the X axis. A complete search
+ * builds one per worker, so no candidate constructs a Mapping.
+ */
+Mapping candidateBuffer(const Problem &problem, const ArchSpec &arch,
+                        const ChainTable &chains,
+                        const std::vector<std::vector<DimId>> &perm_set,
+                        const std::vector<std::vector<char>> &keep);
+
+/**
+ * Rewrite @p mapping as the candidate decode() returned as @p pick
+ * and @p perm_pick. Allocation-free; keep and axes are untouched.
+ */
+void refillCandidate(const ChainTable &chains,
+                     const std::vector<std::vector<DimId>> &perm_set,
+                     const std::vector<std::size_t> &pick,
+                     const std::vector<std::size_t> &perm_pick,
+                     Mapping &mapping);
 
 } // namespace ruby
 

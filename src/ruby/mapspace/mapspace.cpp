@@ -68,8 +68,74 @@ Mapspace::slotImperfect(int slot) const
                                : imperfectTemporal(variant_);
 }
 
-Mapping
-Mapspace::sample(Rng &rng) const
+void
+SampleScratch::shape(int dims, int levels, int tensors)
+{
+    const auto nd = static_cast<std::size_t>(dims);
+    const auto nl = static_cast<std::size_t>(levels);
+    const auto nt = static_cast<std::size_t>(tensors);
+    const std::size_t slots = 2 * nl;
+    if (steady_.size() == nd && perms_.size() == nl &&
+        (nd == 0 || steady_.front().size() == slots) &&
+        (nl == 0 || keep_.front().size() == nt))
+        return;
+    steady_.assign(nd, std::vector<std::uint64_t>(slots, 1));
+    remaining_.assign(nd, 0);
+    order_.assign(nd, 0);
+    axes_.assign(nl, std::vector<SpatialAxis>(nd, SpatialAxis::X));
+    perms_.assign(nl, std::vector<DimId>(nd, 0));
+    keep_.assign(nl, std::vector<char>(nt, 1));
+}
+
+std::size_t
+SampleScratch::home(std::uint64_t m) const
+{
+    // Fibonacci hashing: the high product bits mix every bit of m.
+    return static_cast<std::size_t>((m * 0x9e3779b97f4a7c15ull) >> 32) &
+           (table_.size() - 1);
+}
+
+void
+SampleScratch::place(const Entry &e)
+{
+    std::size_t i = home(e.m);
+    while (table_[i].m != 0)
+        i = (i + 1) & (table_.size() - 1);
+    table_[i] = e;
+}
+
+std::span<const std::uint64_t>
+SampleScratch::divisorsOf(std::uint64_t m)
+{
+    RUBY_ASSERT(m >= 1);
+    if (!table_.empty())
+        for (std::size_t i = home(m); table_[i].m != 0;
+             i = (i + 1) & (table_.size() - 1))
+            if (table_[i].m == m)
+                return {divisors_.data() + table_[i].offset,
+                        table_[i].count};
+    // First meeting of m: compute its divisors once, and keep the
+    // table at most half full.
+    const std::vector<std::uint64_t> divs = divisors(m);
+    RUBY_ASSERT(divisors_.size() + divs.size() <= UINT32_MAX);
+    const Entry e{m, static_cast<std::uint32_t>(divisors_.size()),
+                  static_cast<std::uint32_t>(divs.size())};
+    divisors_.insert(divisors_.end(), divs.begin(), divs.end());
+    if (2 * (entries_ + 1) > table_.size()) {
+        std::vector<Entry> old(
+            std::max<std::size_t>(64, 2 * table_.size()));
+        old.swap(table_);
+        for (const Entry &o : old)
+            if (o.m != 0)
+                place(o);
+    }
+    place(e);
+    ++entries_;
+    return {divisors_.data() + e.offset, e.count};
+}
+
+void
+Mapspace::draw(Rng &rng, SampleScratch &s) const
 {
     const Problem &prob = problem();
     const ArchSpec &arch_spec = arch();
@@ -77,41 +143,32 @@ Mapspace::sample(Rng &rng) const
     const int nl = arch_spec.numLevels();
     const int nt = prob.numTensors();
     const int slots = 2 * nl;
+    s.shape(nd, nl, nt);
 
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd),
-        std::vector<std::uint64_t>(static_cast<std::size_t>(slots), 1));
-    std::vector<std::uint64_t> remaining(
-        static_cast<std::size_t>(nd));
     for (DimId d = 0; d < nd; ++d)
-        remaining[static_cast<std::size_t>(d)] = prob.dimSize(d);
+        s.remaining_[static_cast<std::size_t>(d)] = prob.dimSize(d);
 
     // Visit dimensions in random order per slot so no dimension is
     // systematically favoured for the shared spatial budget.
-    std::vector<DimId> order(static_cast<std::size_t>(nd));
-    std::iota(order.begin(), order.end(), 0);
-
-    std::vector<std::vector<SpatialAxis>> axes(
-        static_cast<std::size_t>(nl),
-        std::vector<SpatialAxis>(static_cast<std::size_t>(nd),
-                                 SpatialAxis::X));
+    std::iota(s.order_.begin(), s.order_.end(), 0);
 
     for (int k = 0; k < slots; ++k) {
         const bool spatial = isSpatialSlot(k);
         const bool imperfect = slotImperfect(k);
         const bool last = k == slots - 1;
         const int level = slotLevel(k);
+        auto &axes = s.axes_[static_cast<std::size_t>(level)];
         // Independent mesh-axis budgets at spatial slots.
         std::uint64_t budget_x =
             spatial ? arch_spec.level(level).fanoutX : 0;
         std::uint64_t budget_y =
             spatial ? arch_spec.level(level).fanoutY : 0;
 
-        for (std::size_t i = order.size(); i-- > 0;)
-            std::swap(order[i], order[rng.below(i + 1)]);
+        for (std::size_t i = s.order_.size(); i-- > 0;)
+            std::swap(s.order_[i], s.order_[rng.below(i + 1)]);
 
-        for (DimId d : order) {
-            auto &m = remaining[static_cast<std::size_t>(d)];
+        for (DimId d : s.order_) {
+            auto &m = s.remaining_[static_cast<std::size_t>(d)];
             std::uint64_t cap = 0; // unbounded (temporal)
             if (spatial) {
                 // Pick the mesh axis: among the axes this dimension
@@ -128,11 +185,22 @@ Mapspace::sample(Rng &rng) const
                                              : SpatialAxis::Y;
                 else if (cap_y > cap_x)
                     axis = SpatialAxis::Y;
-                axes[static_cast<std::size_t>(level)]
-                    [static_cast<std::size_t>(d)] = axis;
+                axes[static_cast<std::size_t>(d)] = axis;
                 cap = std::max<std::uint64_t>(
                     axis == SpatialAxis::X ? cap_x : cap_y, 1);
             }
+            // Uniform over m's divisors up to a bound (0 = none).
+            auto divisorUpTo = [&](std::uint64_t bound) {
+                const auto divs = s.divisorsOf(m);
+                const std::size_t usable =
+                    bound == 0
+                        ? divs.size()
+                        : static_cast<std::size_t>(
+                              std::upper_bound(divs.begin(), divs.end(),
+                                               bound) -
+                              divs.begin());
+                return divs[rng.below(usable)];
+            };
             std::uint64_t choice = 1;
             if (last) {
                 // The outermost temporal slot absorbs the residual.
@@ -147,14 +215,9 @@ Mapspace::sample(Rng &rng) const
                 const std::uint64_t hi = std::min<std::uint64_t>(
                     cap == 0 ? m : cap, m);
                 switch (rng.below(3)) {
-                  case 0: {
-                    const auto divs = divisors(m);
-                    std::size_t usable = 0;
-                    while (usable < divs.size() && divs[usable] <= hi)
-                        ++usable;
-                    choice = divs[rng.below(usable)];
+                  case 0:
+                    choice = divisorUpTo(hi);
                     break;
-                  }
                   case 1:
                     choice = hi;
                     break;
@@ -163,36 +226,27 @@ Mapspace::sample(Rng &rng) const
                 }
             } else {
                 // Perfect slot: uniform over divisors of m within cap.
-                const auto divs = divisors(m);
-                std::size_t usable = divs.size();
-                if (cap != 0) {
-                    usable = 0;
-                    while (usable < divs.size() && divs[usable] <= cap)
-                        ++usable;
-                }
-                choice = divs[rng.below(usable)];
+                choice = divisorUpTo(cap);
             }
-            steady[static_cast<std::size_t>(d)]
-                  [static_cast<std::size_t>(k)] = choice;
-            m = ceilDiv(m, choice);
-            if (spatial && choice > 1) {
-                auto &budget = axes[static_cast<std::size_t>(level)]
-                                       [static_cast<std::size_t>(d)] ==
-                                       SpatialAxis::X
-                                   ? budget_x
-                                   : budget_y;
-                RUBY_ASSERT(budget >= choice);
-                budget /= choice;
+            s.steady_[static_cast<std::size_t>(d)]
+                     [static_cast<std::size_t>(k)] = choice;
+            if (choice > 1) {
+                m = ceilDiv(m, choice);
+                if (spatial) {
+                    auto &budget =
+                        axes[static_cast<std::size_t>(d)] ==
+                                SpatialAxis::X
+                            ? budget_x
+                            : budget_y;
+                    RUBY_ASSERT(budget >= choice);
+                    budget /= choice;
+                }
             }
         }
     }
 
     // Random temporal loop order per level.
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
-    for (int l = 0; l < nl; ++l) {
-        auto &perm = perms[static_cast<std::size_t>(l)];
-        perm.resize(static_cast<std::size_t>(nd));
+    for (auto &perm : s.perms_) {
         std::iota(perm.begin(), perm.end(), 0);
         for (std::size_t i = perm.size(); i-- > 1;)
             std::swap(perm[i], perm[rng.below(i + 1)]);
@@ -200,22 +254,44 @@ Mapspace::sample(Rng &rng) const
 
     // Residency: endpoints keep everything; forced bypasses honoured;
     // remaining intermediate (level, tensor) pairs explored randomly.
-    std::vector<std::vector<char>> keep(
-        static_cast<std::size_t>(nl),
-        std::vector<char>(static_cast<std::size_t>(nt), 1));
-    for (int l = 1; l < nl - 1; ++l)
+    for (int l = 0; l < nl; ++l) {
+        auto &row = s.keep_[static_cast<std::size_t>(l)];
         for (int t = 0; t < nt; ++t) {
             char flag = 1;
-            if (constraints_->bypassForced(l, t))
-                flag = 0;
-            else
-                flag = rng.below(2) == 0 ? 0 : 1;
-            keep[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(t)] = flag;
+            if (l > 0 && l < nl - 1)
+                flag = constraints_->bypassForced(l, t)
+                           ? 0
+                           : (rng.below(2) == 0 ? 0 : 1);
+            row[static_cast<std::size_t>(t)] = flag;
         }
+    }
+}
 
-    return Mapping(prob, arch_spec, steady, std::move(perms),
-                   std::move(keep), std::move(axes));
+void
+Mapspace::sample(Rng &rng, Mapping &out, SampleScratch &scratch) const
+{
+    RUBY_CHECK(&out.problem() == &problem() && &out.arch() == &arch(),
+               "sample: the mapping must map this mapspace's problem "
+               "onto its architecture");
+    draw(rng, scratch);
+    for (DimId d = 0; d < problem().numDims(); ++d)
+        out.setChain(d, scratch.steady_[static_cast<std::size_t>(d)]);
+    for (int l = 0; l < arch().numLevels(); ++l) {
+        const auto row = static_cast<std::size_t>(l);
+        out.setPermutation(l, scratch.perms_[row]);
+        out.setKeepRow(l, scratch.keep_[row]);
+        out.setAxisRow(l, scratch.axes_[row]);
+    }
+}
+
+Mapping
+Mapspace::sample(Rng &rng) const
+{
+    SampleScratch scratch;
+    draw(rng, scratch);
+    return Mapping(problem(), arch(), scratch.steady_,
+                   std::move(scratch.perms_), std::move(scratch.keep_),
+                   std::move(scratch.axes_));
 }
 
 } // namespace ruby

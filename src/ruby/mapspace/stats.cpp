@@ -30,8 +30,11 @@ collectStats(const Mapspace &space, const Evaluator &evaluator,
     std::vector<double> metrics;
     metrics.reserve(options.samples);
 
+    SampleScratch scratch;
+    Mapping mapping = space.sample(rng);
     for (std::uint64_t i = 0; i < options.samples; ++i) {
-        const Mapping mapping = space.sample(rng);
+        if (i > 0)
+            space.sample(rng, mapping, scratch);
         const EvalResult res = evaluator.evaluate(mapping);
         ++stats.samples;
         if (!res.valid)

@@ -72,17 +72,11 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
           ShardBest &best)
 {
     FaultInjector &faults = FaultInjector::global();
-    const Problem &prob = ctx.space.problem();
-    const ArchSpec &arch = ctx.space.arch();
-    const int nd = prob.numDims();
-    const int nl = arch.numLevels();
-
     EvalScratch scratch;
     std::vector<std::size_t> pick, perm_pick;
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd));
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
+    Mapping mapping =
+        candidateBuffer(ctx.space.problem(), ctx.space.arch(),
+                        ctx.chains, ctx.perm_set, ctx.keep);
 
     for (;;) {
         const std::uint64_t start =
@@ -96,15 +90,8 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
                  ctx.opts.cancel->cancelled()))
                 return;
             index_space.decode(i, pick, perm_pick);
-            for (DimId d = 0; d < nd; ++d)
-                steady[static_cast<std::size_t>(d)] =
-                    ctx.chains[static_cast<std::size_t>(d)]
-                              [pick[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl; ++l)
-                perms[static_cast<std::size_t>(l)] =
-                    ctx.perm_set[perm_pick[static_cast<std::size_t>(
-                        l)]];
-            Mapping mapping(prob, arch, steady, perms, ctx.keep);
+            refillCandidate(ctx.chains, ctx.perm_set, pick, perm_pick,
+                            mapping);
             if (faults.enabled())
                 faults.maybeThrow("exhaustive_search.evaluate");
             const StagedEval staged = evaluator.evaluateStaged(
@@ -126,7 +113,7 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
                 if (metric < best.metric) {
                     best.metric = metric;
                     best.index = i;
-                    best.mapping = std::move(mapping);
+                    best.mapping = mapping;
                     best.result = scratch.result;
                 }
                 break;
@@ -139,9 +126,9 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
 /**
  * shardLoop() with the K-wide batch front end. Decoded decision rows
  * are ingested straight into the batch engine — no Mapping, no
- * FactorChain division — and a Mapping is materialized only for
- * candidates that survive both the batch validity stages and the
- * incumbent prune. Candidates are consumed in index order with the
+ * FactorChain division — and the shard's candidate buffer is refilled
+ * only for candidates that survive both the batch validity stages and
+ * the incumbent prune. Candidates are consumed in index order with the
  * scalar loop's per-index cancellation and fault points, the same
  * strict incumbent predicate, and first-strict-improvement selection,
  * so the reduced best is bit-identical to the scalar shard.
@@ -155,21 +142,17 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                  ShardBest &best)
 {
     FaultInjector &faults = FaultInjector::global();
-    const Problem &prob = ctx.space.problem();
-    const ArchSpec &arch = ctx.space.arch();
-    const int nd = prob.numDims();
-    const int nl = arch.numLevels();
+    const int nd = ctx.space.problem().numDims();
 
     EvalScratch scratch;
     BatchEvaluator batch(evaluator);
     std::vector<std::size_t> pick, perm_pick;
-    /** Per-candidate permutation picks, flat [j * nl + l]. */
-    std::vector<std::size_t> perm_picks;
     std::vector<std::vector<std::uint64_t>> steady(
         static_cast<std::size_t>(nd));
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
     const std::vector<std::vector<SpatialAxis>> no_axes;
+    Mapping mapping =
+        candidateBuffer(ctx.space.problem(), ctx.space.arch(),
+                        ctx.chains, ctx.perm_set, ctx.keep);
 
     for (;;) {
         const std::uint64_t start =
@@ -181,17 +164,12 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
             const std::size_t want = static_cast<std::size_t>(
                 std::min<std::uint64_t>(kDefaultEvalBatch, end - s));
             batch.begin(want);
-            perm_picks.assign(want * static_cast<std::size_t>(nl), 0);
             for (std::size_t j = 0; j < want; ++j) {
                 index_space.decode(s + j, pick, perm_pick);
                 for (DimId d = 0; d < nd; ++d)
                     steady[static_cast<std::size_t>(d)] =
                         ctx.chains[static_cast<std::size_t>(d)][pick[
                             static_cast<std::size_t>(d)]];
-                for (int l = 0; l < nl; ++l)
-                    perm_picks[j * static_cast<std::size_t>(nl) +
-                               static_cast<std::size_t>(l)] =
-                        perm_pick[static_cast<std::size_t>(l)];
                 batch.add(steady, ctx.keep, no_axes);
             }
             batch.run(ctx.opts.objective, best.stats,
@@ -219,16 +197,8 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                 }
                 const std::uint64_t i = s + j;
                 index_space.decode(i, pick, perm_pick);
-                for (DimId d = 0; d < nd; ++d)
-                    steady[static_cast<std::size_t>(d)] =
-                        ctx.chains[static_cast<std::size_t>(d)][pick[
-                            static_cast<std::size_t>(d)]];
-                for (int l = 0; l < nl; ++l)
-                    perms[static_cast<std::size_t>(l)] =
-                        ctx.perm_set[perm_picks[
-                            j * static_cast<std::size_t>(nl) +
-                            static_cast<std::size_t>(l)]];
-                Mapping mapping(prob, arch, steady, perms, ctx.keep);
+                refillCandidate(ctx.chains, ctx.perm_set, pick,
+                                perm_pick, mapping);
                 batch.prepareScratch(j, scratch);
                 evaluator.modelValidated(mapping, scratch);
                 incumbent.observeMin(
@@ -240,7 +210,7 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                 if (metric < best.metric) {
                     best.metric = metric;
                     best.index = i;
-                    best.mapping = std::move(mapping);
+                    best.mapping = mapping;
                     best.result = scratch.result;
                 }
             }

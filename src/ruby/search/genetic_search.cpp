@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "ruby/common/error.hpp"
@@ -282,8 +283,15 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     forEachIsland([&](unsigned k, const CancelToken *poolCancel) {
         Island &island = archipelago[k];
         island.population.resize(options.populationSize);
-        for (Individual &ind : island.population)
-            ind.genome = extractGenome(space.sample(island.rng));
+        SampleScratch sampler;
+        std::optional<Mapping> sample;
+        for (Individual &ind : island.population) {
+            if (sample)
+                space.sample(island.rng, *sample, sampler);
+            else
+                sample.emplace(space.sample(island.rng));
+            ind.genome = extractGenome(*sample);
+        }
         for (Individual &ind : island.population) {
             if (stopped(poolCancel))
                 return;

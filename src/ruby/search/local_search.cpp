@@ -130,6 +130,9 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
         return options.cancel != nullptr &&
                options.cancel->cancelled();
     };
+    // Start draws refill one mapping: most are rejected.
+    SampleScratch sampler;
+    std::optional<Mapping> sample;
     while (out.evaluated < budget && !cancelled()) {
         // Random (valid) start. The genome is extracted only once a
         // sample sticks — rejected samples never leave Mapping form.
@@ -137,10 +140,13 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
         double current_metric = kInf;
         bool started = false;
         while (!started && out.evaluated < budget && !cancelled()) {
-            const Mapping sample = space.sample(rng);
-            started = evaluateStart(sample, current_metric);
+            if (sample)
+                space.sample(rng, *sample, sampler);
+            else
+                sample.emplace(space.sample(rng));
+            started = evaluateStart(*sample, current_metric);
             if (started)
-                current = extractGenome(sample);
+                current = extractGenome(*sample);
         }
         if (!started)
             break;

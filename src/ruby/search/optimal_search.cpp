@@ -171,12 +171,14 @@ class BnbWorker
           cancel_(cancel), best_(best),
           nd_(ctx.space.problem().numDims()),
           nl_(ctx.space.arch().numLevels()),
-          nt_(ctx.space.problem().numTensors())
+          nt_(ctx.space.problem().numTensors()),
+          candidate_(candidateBuffer(ctx.space.problem(),
+                                     ctx.space.arch(), ctx.chains,
+                                     ctx.perm_set, ctx.keep))
     {
         if (batched)
             batch_.emplace(evaluator);
         steady_.resize(static_cast<std::size_t>(nd_));
-        perms_.resize(static_cast<std::size_t>(nl_));
         floor_.resize(static_cast<std::size_t>(nd_));
         extLB_.resize(static_cast<std::size_t>(nd_));
     }
@@ -599,18 +601,10 @@ class BnbWorker
             }
             const std::uint64_t i = lane_index_[j];
             index_space_.decode(i, pick_, perm_pick_);
-            for (DimId d = 0; d < nd_; ++d)
-                steady_[static_cast<std::size_t>(d)] =
-                    ctx_.chains[static_cast<std::size_t>(d)]
-                               [pick_[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl_; ++l)
-                perms_[static_cast<std::size_t>(l)] =
-                    ctx_.perm_set[perm_pick_[
-                        static_cast<std::size_t>(l)]];
-            Mapping mapping(ctx_.space.problem(), ctx_.space.arch(),
-                            steady_, perms_, ctx_.keep);
+            refillCandidate(ctx_.chains, ctx_.perm_set, pick_,
+                            perm_pick_, candidate_);
             batch.prepareScratch(j, scratch_);
-            evaluator_.modelValidated(mapping, scratch_);
+            evaluator_.modelValidated(candidate_, scratch_);
             const double metric =
                 scratch_.result.objective(ctx_.opts.objective);
             incumbent_.observeMin(metric);
@@ -619,7 +613,7 @@ class BnbWorker
             if (metric < best_.metric) {
                 best_.metric = metric;
                 best_.index = i;
-                best_.mapping = std::move(mapping);
+                best_.mapping = candidate_;
                 best_.result = scratch_.result;
             }
         }
@@ -635,20 +629,12 @@ class BnbWorker
                 ++best_.stats.prunedBound;
                 continue;
             }
-            for (DimId d = 0; d < nd_; ++d)
-                steady_[static_cast<std::size_t>(d)] =
-                    ctx_.chains[static_cast<std::size_t>(d)]
-                               [pick_[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl_; ++l)
-                perms_[static_cast<std::size_t>(l)] =
-                    ctx_.perm_set[perm_pick_[
-                        static_cast<std::size_t>(l)]];
-            Mapping mapping(ctx_.space.problem(), ctx_.space.arch(),
-                            steady_, perms_, ctx_.keep);
+            refillCandidate(ctx_.chains, ctx_.perm_set, pick_,
+                            perm_pick_, candidate_);
             if (faults.enabled())
                 faults.maybeThrow("optimal_search.evaluate");
             const StagedEval staged = evaluator_.evaluateStaged(
-                mapping, ctx_.opts.objective, incumbent_,
+                candidate_, ctx_.opts.objective, incumbent_,
                 ctx_.prune, scratch_);
             switch (staged) {
               case StagedEval::Invalid:
@@ -666,7 +652,7 @@ class BnbWorker
                 if (metric < best_.metric) {
                     best_.metric = metric;
                     best_.index = i;
-                    best_.mapping = std::move(mapping);
+                    best_.mapping = candidate_;
                     best_.result = scratch_.result;
                 }
                 break;
@@ -691,7 +677,8 @@ class BnbWorker
     EvalScratch scratch_;
     std::vector<std::size_t> pick_, perm_pick_;
     std::vector<std::vector<std::uint64_t>> steady_;
-    std::vector<std::vector<DimId>> perms_;
+    /** Refilled in place for every modeled leaf. */
+    Mapping candidate_;
     std::vector<double> floor_;
     std::vector<std::uint64_t> extLB_;
     std::vector<Node> children_;

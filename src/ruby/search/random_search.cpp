@@ -81,7 +81,10 @@ struct SampleOutcome
 
 /**
  * One chunk of up to kDefaultEvalBatch drawn samples, decided one
- * candidate at a time by consume(). Drawing ahead never changes the
+ * candidate at a time by consume(). The chunk's mappings live as long
+ * as the chunk: each draw refills one in place, so the sampling loop
+ * touches no heap once warm, and only a strict improvement copies a
+ * mapping out. Drawing ahead never changes the
  * RNG stream a loop consumes: evaluation never touches the RNG, and
  * draws abandoned at a stop point are discarded uncounted. Every stop
  * check runs per consumed candidate, so stop points, counters and
@@ -111,13 +114,15 @@ class Chunk
     void draw(const Mapspace &space, Rng &rng, std::size_t want,
               EvalStats &stats)
     {
-        drawn_.clear();
         if (batch_)
             batch_->begin(want);
         for (std::size_t j = 0; j < want; ++j) {
-            drawn_.push_back(space.sample(rng));
+            if (j < drawn_.size())
+                space.sample(rng, drawn_[j], sampler_);
+            else
+                drawn_.push_back(space.sample(rng));
             if (batch_)
-                batch_->add(drawn_.back());
+                batch_->add(drawn_[j]);
         }
         if (batch_)
             batch_->run(objective_, stats, prune_);
@@ -172,7 +177,10 @@ class Chunk
     const Evaluator &evaluator_;
     Objective objective_;
     bool prune_;
+    /** Refilled by every draw; may hold more than the last draw's
+     *  count, of which only the first are live. */
     std::vector<Mapping> drawn_;
+    SampleScratch sampler_;
     std::optional<BatchEvaluator> batch_;
 };
 

@@ -5,6 +5,7 @@
 #include "../test_util.hpp"
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/error.hpp"
+#include "ruby/workload/gemm.hpp"
 #include "ruby/workload/problem.hpp"
 
 namespace ruby
@@ -86,6 +87,32 @@ TEST(Mapping, RejectsBypassAtEndpoints)
     EXPECT_THROW(Mapping(fx.prob, fx.arch, {{1, 1, 5, 20, 1, 1}},
                          test::identityPerms(fx.prob, fx.arch), keep),
                  Error);
+}
+
+TEST(Mapping, MutatorsRunTheConstructorChecks)
+{
+    // The refill mutators reject what the constructor rejects, and a
+    // rejected edit leaves the mapping unchanged.
+    const Problem prob = makeGemm(8, 8, 8);
+    const ArchSpec arch = makeToyGlb(6);
+    Mapping m(prob, arch,
+              {{1, 1, 1, 1, 1, 8}, {1, 1, 1, 1, 1, 8}, {1, 1, 1, 1, 1, 8}},
+              test::identityPerms(prob, arch), test::keepAll(prob, arch));
+    const std::string before = m.toString();
+    EXPECT_THROW(m.setChain(0, {1, 1, 8}), Error);
+    EXPECT_THROW(m.setPermutation(1, {0, 0, 2}), Error);
+    EXPECT_THROW(m.setPermutation(1, {0, 1}), Error);
+    EXPECT_THROW(m.setPermutation(1, {0, 1, 3}), Error);
+    EXPECT_THROW(m.setKeepRow(0, {1, 0, 1}), Error);
+    EXPECT_THROW(m.setKeepRow(2, {1, 1, 0}), Error);
+    EXPECT_THROW(m.setKeepRow(1, {1, 0}), Error);
+    EXPECT_THROW(m.setAxisRow(1, {SpatialAxis::Y}), Error);
+    EXPECT_EQ(m.toString(), before);
+
+    m.setPermutation(1, {2, 0, 1});
+    m.setKeepRow(1, {1, 0, 1});
+    EXPECT_EQ(m.permutation(1), (std::vector<DimId>{2, 0, 1}));
+    EXPECT_FALSE(m.keeps(1, 1));
 }
 
 TEST(Mapping, KeepsQueriedPerLevel)
